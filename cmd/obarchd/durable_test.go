@@ -465,22 +465,27 @@ extend SmallInt [
 	if err := os.Rename(newPath, oldPath); err != nil {
 		t.Fatal(err)
 	}
+	// The first swapped shard answers rotmark before the rotation has
+	// finished and been counted, so wait for both.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
-		if status == http.StatusOK {
-			if got, ok := res.Result.(float64); !ok || got != 100 {
-				t.Fatalf("rotmark answered %v, want 100", res.Result)
+	for answered := false; !answered || pool.Metrics().Rotations < 1; {
+		if !answered {
+			status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
+			if status == http.StatusOK {
+				if got, ok := res.Result.(float64); !ok || got != 100 {
+					t.Fatalf("rotmark answered %v, want 100", res.Result)
+				}
+				answered = true
+				continue
 			}
-			break
 		}
 		if time.Now().After(deadline) {
+			if answered {
+				t.Fatalf("rotations = %d after watch rotation", pool.Metrics().Rotations)
+			}
 			t.Fatal("watcher never rotated onto the replaced image")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if met := pool.Metrics(); met.Rotations < 1 {
-		t.Fatalf("rotations = %d after watch rotation", met.Rotations)
 	}
 }
 
@@ -537,21 +542,26 @@ extend SmallInt [
 		t.Fatal(err)
 	}
 
+	// The first swapped shard answers rotmark before the rotation has
+	// finished and been counted, so wait for both.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
-		if status == http.StatusOK {
-			if got, ok := res.Result.(float64); !ok || got != 100 {
-				t.Fatalf("rotmark answered %v, want 100", res.Result)
+	for answered := false; !answered || pool.Metrics().Rotations < 1; {
+		if !answered {
+			status, res := postSendTo(t, ts, `{"receiver": 1, "selector": "rotmark"}`)
+			if status == http.StatusOK {
+				if got, ok := res.Result.(float64); !ok || got != 100 {
+					t.Fatalf("rotmark answered %v, want 100", res.Result)
+				}
+				answered = true
+				continue
 			}
-			break
 		}
 		if time.Now().After(deadline) {
+			if answered {
+				t.Fatalf("rotations = %d after torn-write recovery", pool.Metrics().Rotations)
+			}
 			t.Fatal("watcher never retried the torn-write image — the failed poll burned the baseline")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if met := pool.Metrics(); met.Rotations < 1 {
-		t.Fatalf("rotations = %d after torn-write recovery", met.Rotations)
 	}
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -255,6 +256,60 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 	}
 	if bs.ProtoErrors != 0 {
 		t.Fatalf("proto_errors %d during graceful drain", bs.ProtoErrors)
+	}
+}
+
+// TestBinaryInlineSurfaces checks that the binary block reports the
+// inline lane on every surface: N depth-1 round trips on an idle pool
+// (GC off, so nothing but the sends touches a shard) are all answered
+// inline, and /stats JSON, /stats?format=text and /metrics agree.
+func TestBinaryInlineSurfaces(t *testing.T) {
+	h, pool := newConfigServer(t, serve.Config{Workers: 1, GCEvery: -1, Timeout: 30 * time.Second})
+	defer pool.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.bin = obwire.Serve(l, pool, obwire.Options{})
+	defer h.bin.Shutdown(t.Context())
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	c, err := obwire.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 10
+	for i := 0; i < n; i++ {
+		resp, err := c.Do(serve.Request{Receiver: word.FromInt(8), Selector: "benchRecurse"})
+		if err != nil || !resp.OK() {
+			t.Fatalf("send %d: %v (status %d: %s)", i, err, resp.Status, resp.Err)
+		}
+	}
+
+	status, body := get(t, ts, "/stats")
+	if status != http.StatusOK {
+		t.Fatalf("/stats status %d", status)
+	}
+	var st struct {
+		Binary struct {
+			FramesIn     uint64 `json:"frames_in"`
+			FramesOut    uint64 `json:"frames_out"`
+			FramesInline uint64 `json:"frames_inline"`
+		} `json:"binary"`
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if b := st.Binary; b.FramesIn != n || b.FramesOut != n || b.FramesInline != n {
+		t.Fatalf("/stats binary frames in/out/inline = %d/%d/%d, want %d each", b.FramesIn, b.FramesOut, b.FramesInline, n)
+	}
+	if _, text := get(t, ts, "/stats?format=text"); !strings.Contains(text, fmt.Sprintf("frames_out=%d frames_inline=%d ", n, n)) {
+		t.Errorf("/stats?format=text lacks frames_inline=%d:\n%s", n, text)
+	}
+	if _, metrics := get(t, ts, "/metrics"); !strings.Contains(metrics, fmt.Sprintf("\nobarch_binary_frames_inline_total %d\n", n)) {
+		t.Errorf("/metrics lacks obarch_binary_frames_inline_total %d", n)
 	}
 }
 

@@ -36,9 +36,9 @@ const (
 	// in nanoseconds.
 	KindDispatch
 	// KindExecStart is machine execution beginning inline on the
-	// caller's goroutine — Do's fast lane, which never queued, so the
-	// event chain has no enqueue or dispatch. Arg is the step budget in
-	// force (0: the machine's own limit).
+	// caller's goroutine — Pool.TryInline's fast lane, which never queued,
+	// so the event chain has no enqueue or dispatch. Arg is the step
+	// budget in force (0: the machine's own limit).
 	KindExecStart
 	// KindExecEnd is machine execution finishing. Arg is the interpreted
 	// steps the request spent.

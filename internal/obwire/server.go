@@ -59,15 +59,28 @@ type Stats struct {
 	ConnsActive   uint64 `json:"conns_active"`
 	FramesIn      uint64 `json:"frames_in"`
 	FramesOut     uint64 `json:"frames_out"`
+	FramesInline  uint64 `json:"frames_inline"`
 	Pings         uint64 `json:"pings"`
 	ProtoErrors   uint64 `json:"proto_errors"`
 }
 
 // Server accepts obwire connections and feeds their frames to a
-// serve.Pool. Every connection runs one reader goroutine (read → decode
-// → Pool.Go) and one writer goroutine (await future → encode → write),
-// joined by an ordered in-flight channel: responses go out in request
-// order, many requests deep.
+// serve.Pool. Every connection runs one reader goroutine and one writer
+// goroutine, and a send frame takes one of two lanes:
+//
+//   - Inline: when the frame is the only work on its connection — nothing
+//     more buffered behind it, no answer outstanding — the reader runs it
+//     on an idle shard (serve.Pool.TryInline) and encodes, writes and
+//     flushes the answer itself. A depth-1 send costs one server
+//     goroutine instead of three.
+//   - Pipelined: every other frame, and a depth-1 frame whose shard is
+//     busy, goes reader → Pool.Go → ordered in-flight channel → writer
+//     (await future → encode → write), many requests deep.
+//
+// Either way responses go out in request order: the reader may touch the
+// connection's write buffer only while the writer has nothing
+// outstanding (see connWriter), so an inline answer never overtakes a
+// pipelined one.
 type Server struct {
 	pool *serve.Pool
 	ln   net.Listener
@@ -83,6 +96,7 @@ type Server struct {
 	connsActive   atomic.Int64
 	framesIn      atomic.Uint64
 	framesOut     atomic.Uint64
+	framesInline  atomic.Uint64
 	pings         atomic.Uint64
 	protoErrors   atomic.Uint64
 }
@@ -109,17 +123,26 @@ func Serve(l net.Listener, pool *serve.Pool, opts Options) *Server {
 // Addr answers the listener's address — handy when it was bound to :0.
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
-// Stats snapshots the transport counters.
+// Stats snapshots the transport counters. FramesIn counts send frames
+// decoded and dispatched; FramesOut counts answers placed in a write
+// buffer (each before the flush that sends it, so a client holding its
+// answer always sees it counted); FramesInline counts the answers the
+// reader produced on the inline lane. The loads run against the order
+// the counters tick, so a snapshot always has
+// FramesInline <= FramesOut <= FramesIn.
 func (s *Server) Stats() Stats {
 	active := s.connsActive.Load()
 	if active < 0 {
 		active = 0
 	}
+	inline := s.framesInline.Load()
+	out := s.framesOut.Load()
 	return Stats{
 		ConnsAccepted: s.connsAccepted.Load(),
 		ConnsActive:   uint64(active),
 		FramesIn:      s.framesIn.Load(),
-		FramesOut:     s.framesOut.Load(),
+		FramesOut:     out,
+		FramesInline:  inline,
 		Pings:         s.pings.Load(),
 		ProtoErrors:   s.protoErrors.Load(),
 	}
@@ -199,11 +222,66 @@ type pending struct {
 	ping bool
 }
 
+// connWriter is a connection's response half: the buffered writer, the
+// one reusable encode buffer, and the sticky write-failure flag. It is
+// owned by whichever goroutine may write, and ownership passes through
+// outstanding, the count of frames handed to the writer goroutine and
+// not yet retired. The reader adds 1 before each hand-off; the writer
+// subtracts 1 only after it has written the item — and, when the pipe
+// ran dry, flushed it. The reader touches the writer only when the
+// count is 0: then every earlier answer is on the wire and the writer
+// goroutine is parked on the empty channel, so an inline answer can
+// neither overtake nor interleave with a pipelined one. The atomic
+// decrement and load order the two goroutines' buffer accesses.
+type connWriter struct {
+	c           net.Conn
+	bw          *bufio.Writer
+	buf         []byte
+	broken      bool
+	outstanding atomic.Int64
+}
+
+// fail marks the connection's write side broken: later answers are
+// dropped rather than written, but still waited for and retired.
+func (s *Server) fail(w *connWriter, err error) {
+	w.broken = true
+	s.logf("obwire: %s: write: %v", w.c.RemoteAddr(), err)
+}
+
+// respond encodes one answer into the write buffer and flushes it when
+// asked. The answer is counted as soon as it sits in the buffer —
+// before the flush that sends it — so a client holding its answer
+// always finds it in FramesOut. The caller owns w.
+func (s *Server) respond(w *connWriter, id uint64, res serve.Result, inline, flush bool) {
+	if w.broken {
+		return
+	}
+	t0 := time.Now()
+	w.buf = appendResponse(w.buf[:0], id, res)
+	if _, err := w.bw.Write(w.buf); err != nil {
+		s.fail(w, err)
+		return
+	}
+	s.framesOut.Add(1)
+	if inline {
+		s.framesInline.Add(1)
+	}
+	if flush {
+		if err := w.bw.Flush(); err != nil {
+			s.fail(w, err)
+		}
+	}
+	if s.opts.EncodeLat != nil {
+		s.opts.EncodeLat.Observe(time.Since(t0))
+	}
+}
+
 // serveConn is the per-connection reader half of the read→dispatch→write
-// loop: validate the magic, then read frames, decode them, and hand the
-// pool futures to the writer in order. Any protocol error stops the
-// reading — poisoning exactly this connection — while the writer drains
-// and answers everything already dispatched.
+// loop: validate the magic, then read frames, decode them, and either
+// answer a lone send frame inline or hand the pool futures to the writer
+// in order. Any protocol error stops the reading — poisoning exactly this
+// connection — while the writer drains and answers everything already
+// dispatched.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -220,9 +298,10 @@ func (s *Server) serveConn(c net.Conn) {
 		c.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
 	}
 
+	w := &connWriter{c: c, bw: bufio.NewWriterSize(c, 1<<16), buf: make([]byte, 0, 256)}
 	pend := make(chan pending, s.opts.Window)
 	writerDone := make(chan struct{})
-	go s.writeLoop(c, pend, writerDone)
+	go s.writeLoop(w, pend, writerDone)
 
 	br := bufio.NewReaderSize(c, 1<<16)
 	var hdr [4]byte
@@ -241,6 +320,7 @@ func (s *Server) serveConn(c net.Conn) {
 	// sends of the same message cost no allocation.
 	buf := make([]byte, 0, 512)
 	sels := make(map[string]string, 64)
+	rearmed := false
 
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -272,6 +352,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 		if len(buf) == 9 && buf[0] == framePing {
 			s.pings.Add(1)
+			w.outstanding.Add(1)
 			pend <- pending{id: binary.LittleEndian.Uint64(buf[1:]), ping: true}
 			continue
 		}
@@ -287,10 +368,30 @@ func (s *Server) serveConn(c net.Conn) {
 			break
 		}
 		s.framesIn.Add(1)
-		// Dispatch. Go never blocks: a full queue or in-flight ceiling
-		// completes the future immediately with ErrOverloaded, which the
-		// writer answers as StatusOverloaded — the same admission story
-		// as HTTP, over a cheaper wire.
+
+		// Inline lane: the frame is the only work on the connection.
+		// TryInline never waits on a queue — a busy shard sends the frame
+		// down the pipelined lane — so the reader is never parked behind
+		// work it could have read past. A draining server stays pipelined
+		// so the reader keeps consuming frames through the grace window.
+		if w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
+			if res, ok := s.pool.TryInline(req); ok {
+				s.respond(w, id, res, true, true)
+				// Shutdown may have set the drain deadline while this
+				// send ran, eating the grace the reader needs for frames
+				// that landed meanwhile; grant it once more.
+				if !rearmed && s.closed.Load() {
+					rearmed = true
+					c.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
+				}
+				continue
+			}
+		}
+		// Pipelined lane. Go never blocks: a full queue or in-flight
+		// ceiling completes the future immediately with ErrOverloaded,
+		// which the writer answers as StatusOverloaded — the same
+		// admission story as HTTP, over a cheaper wire.
+		w.outstanding.Add(1)
 		pend <- pending{id: id, fut: s.pool.Go(req)}
 	}
 	close(pend)
@@ -340,55 +441,35 @@ func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.
 }
 
 // writeLoop is the writer half: await each dispatched future in order,
-// encode its response into the one reusable buffer, and write it out,
-// flushing only when the pipeline runs dry — pipelined clients get
-// batched syscalls for free. A write error stops writing but not
-// waiting: the loop keeps draining futures so the reader can finish and
-// pooled result cells are always recycled.
-func (s *Server) writeLoop(c net.Conn, pend <-chan pending, done chan<- struct{}) {
+// encode its response into the connection's reusable buffer, and write
+// it out, flushing only when the pipeline runs dry — pipelined clients
+// get batched syscalls for free. Each item is retired from outstanding
+// only once written (and flushed, if it was the last), which is what
+// hands the writer back to the reader's inline lane. A write error stops
+// writing but not waiting: the loop keeps draining futures so the reader
+// can finish and pooled result cells are always recycled.
+func (s *Server) writeLoop(w *connWriter, pend <-chan pending, done chan<- struct{}) {
 	defer close(done)
-	defer c.Close()
-	bw := bufio.NewWriterSize(c, 1<<16)
-	buf := make([]byte, 0, 256)
-	broken := false
+	defer w.c.Close()
 	for p := range pend {
 		if p.ping {
-			if broken {
-				continue
+			if !w.broken {
+				w.buf = appendPong(w.buf[:0], p.id)
+				_, err := w.bw.Write(w.buf)
+				if err == nil && len(pend) == 0 {
+					err = w.bw.Flush()
+				}
+				if err != nil {
+					s.fail(w, err)
+				}
 			}
-			buf = appendPong(buf[:0], p.id)
-			_, err := bw.Write(buf)
-			if err == nil && len(pend) == 0 {
-				err = bw.Flush()
-			}
-			if err != nil {
-				broken = true
-				s.logf("obwire: %s: write: %v", c.RemoteAddr(), err)
-			}
-			continue
+		} else {
+			s.respond(w, p.id, p.fut.Wait(), false, len(pend) == 0)
 		}
-		res := p.fut.Wait()
-		if broken {
-			continue
-		}
-		t0 := time.Now()
-		buf = appendResponse(buf[:0], p.id, res)
-		_, err := bw.Write(buf)
-		if err == nil && len(pend) == 0 {
-			err = bw.Flush()
-		}
-		if s.opts.EncodeLat != nil {
-			s.opts.EncodeLat.Observe(time.Since(t0))
-		}
-		if err != nil {
-			broken = true
-			s.logf("obwire: %s: write: %v", c.RemoteAddr(), err)
-			continue
-		}
-		s.framesOut.Add(1)
+		w.outstanding.Add(-1)
 	}
-	if !broken {
-		bw.Flush()
+	if !w.broken {
+		w.bw.Flush()
 	}
 }
 

@@ -399,3 +399,56 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestTryInlineNeverWaits pins TryInline's three answers: an idle shard
+// runs the request on the caller, a busy shard is reported as not taken
+// — at once, with nothing counted and no admission slot held — and an
+// admission refusal is answered like any other result.
+func TestTryInlineNeverWaits(t *testing.T) {
+	pool := serve.NewPool(spinSnapshot(t), serve.Config{Workers: 1, MaxInFlight: 8, Timeout: 30 * time.Second})
+	defer pool.Close()
+	quick := serve.Request{Receiver: word.FromInt(21), Selector: "quick"}
+	if res, ok := pool.TryInline(quick); !ok || res.Err != nil || res.Value.Int() != 42 {
+		t.Fatalf("idle shard: TryInline = %+v, %v; want 42, taken", res, ok)
+	}
+
+	var spinDone atomic.Bool
+	spun := make(chan serve.Result, 1)
+	go func() {
+		res := pool.Do(serve.Request{Receiver: word.FromInt(1), Selector: "spinForever", Timeout: 500 * time.Millisecond})
+		spinDone.Store(true)
+		spun <- res
+	}()
+	for pool.QueueDepths()[0] != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	res, ok := pool.TryInline(quick)
+	busyAnswered := !spinDone.Load()
+	if ok {
+		t.Fatalf("busy shard: TryInline took the request (%+v)", res)
+	}
+	if !busyAnswered {
+		t.Fatal("busy shard: TryInline returned only after the shard freed up")
+	}
+	if met := pool.Metrics(); met.Requests != 1 || met.Rejected != 0 {
+		t.Errorf("a request not taken was counted: requests %d, rejected %d", met.Requests, met.Rejected)
+	}
+	if got := pool.InFlight(); got != 1 {
+		t.Errorf("in-flight = %d with only the spinner admitted, want 1", got)
+	}
+	if res := <-spun; res.Err == nil {
+		t.Fatalf("spinner answered %+v, want its timeout", res)
+	}
+
+	refusing := serve.NewPool(spinSnapshot(t), serve.Config{Workers: 1, MaxInFlight: -1})
+	if res, ok := refusing.TryInline(quick); !ok || !errors.Is(res.Err, serve.ErrOverloaded) {
+		t.Fatalf("closed ceiling: TryInline = %+v, %v; want ErrOverloaded, answered", res, ok)
+	}
+	if met := refusing.Metrics(); met.Rejected != 1 {
+		t.Errorf("rejected = %d after one refusal, want 1", met.Rejected)
+	}
+	refusing.Close()
+	if res, ok := refusing.TryInline(quick); !ok || !errors.Is(res.Err, serve.ErrClosed) {
+		t.Fatalf("closed pool: TryInline = %+v, %v; want ErrClosed, answered", res, ok)
+	}
+}
