@@ -36,7 +36,7 @@ const (
 	// in nanoseconds.
 	KindDispatch
 	// KindExecStart is machine execution beginning inline on the
-	// caller's goroutine — Pool.TryInline's fast lane, which never queued,
+	// caller's goroutine — Pool.Start's fast lane, which never queued,
 	// so the event chain has no enqueue or dispatch. Arg is the step
 	// budget in force (0: the machine's own limit).
 	KindExecStart

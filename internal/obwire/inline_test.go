@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -191,7 +192,7 @@ func TestInlineFramesCounted(t *testing.T) {
 // a lone send right behind a burst (the writer hands the buffer back to
 // the reader), and lone pings. Every answer and every FIFO id checks.
 func TestLaneSwitchMixed(t *testing.T) {
-	s, _ := startServer(t, serve.Config{Workers: 2, Timeout: 30 * time.Second}, Options{})
+	s, _ := startServer(t, serve.Config{Workers: 1, Timeout: 30 * time.Second}, Options{})
 	r := dialRaw(t, s.Addr().String())
 	sends := uint64(0)
 	for round := int32(0); round < 20; round++ {
@@ -273,6 +274,50 @@ func TestLaneSwitchBusyShard(t *testing.T) {
 	}
 	if st := s.Stats(); st.FramesInline != 0 || st.FramesOut != 1 {
 		t.Fatalf("frames out/inline = %d/%d, want 1/0: the busy shard's frame must be pipelined", st.FramesOut, st.FramesInline)
+	}
+}
+
+// TestLaneMultiWorkerOverlap pins why a multi-worker pool keeps the
+// inline lane shut. Two callers share one multiplexed connection to a
+// 2-worker pool, keyed to different shards, each send held by a stall.
+// The second frame goes out only once the first is executing, and must
+// reach its own shard while the first still runs: had the reader been
+// executing the first send, it would have read the second only after.
+func TestLaneMultiWorkerOverlap(t *testing.T) {
+	s, pool := startServer(t, serve.Config{Workers: 2, Timeout: 30 * time.Second,
+		Faults: &serve.Faults{StallEvery: 1, Stall: 500 * time.Millisecond}}, Options{})
+	m, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	send := func(recv int32, key uint64) error {
+		resp, err := m.Do(serve.Request{Receiver: word.FromInt(recv), Selector: "answer", Key: key})
+		if err == nil && (!resp.OK() || resp.Value.Int() != recv+1) {
+			err = fmt.Errorf("send %d: status %d value %v (%s)", recv, resp.Status, resp.Value, resp.Err)
+		}
+		return err
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- send(1, 1) }() // key 1: shard 1
+	waitFor(t, "the first send to execute", func() bool { return pool.QueueDepths()[1] == 1 })
+	go func() { errs <- send(2, 2) }() // key 2: shard 0
+	overlapped := false
+	waitFor(t, "the second send to execute", func() bool {
+		d := pool.QueueDepths()
+		overlapped = d[1] == 1
+		return d[0] == 1
+	})
+	if !overlapped {
+		t.Fatal("the second frame reached its shard only after the first send ended")
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.FramesIn != 2 || st.FramesOut != 2 || st.FramesInline != 0 {
+		t.Fatalf("frames in/out/inline = %d/%d/%d, want 2/2/0", st.FramesIn, st.FramesOut, st.FramesInline)
 	}
 }
 

@@ -68,23 +68,32 @@ type Stats struct {
 // serve.Pool. Every connection runs one reader goroutine and one writer
 // goroutine, and a send frame takes one of two lanes:
 //
-//   - Inline: when the frame is the only work on its connection — nothing
-//     more buffered behind it, no answer outstanding — the reader runs it
-//     on an idle shard (serve.Pool.TryInline) and encodes, writes and
-//     flushes the answer itself. A depth-1 send costs one server
-//     goroutine instead of three.
-//   - Pipelined: every other frame, and a depth-1 frame whose shard is
-//     busy, goes reader → Pool.Go → ordered in-flight channel → writer
+//   - Inline: when the pool has one worker and the frame is the only
+//     work on its connection — nothing more buffered behind it, no
+//     answer outstanding — the reader runs it on the idle shard
+//     (serve.Pool.Start) and encodes, writes and flushes the answer
+//     itself. A depth-1 send costs one server goroutine instead of three.
+//   - Pipelined: every other frame, and a lone frame whose shard is busy,
+//     goes reader → pool queue → ordered in-flight channel → writer
 //     (await future → encode → write), many requests deep.
+//
+// An inline send holds its connection's reader, so a frame that arrives
+// behind it is read only once it ends. With one worker that costs
+// nothing, since the frame could not have run before the shard freed up
+// anyway. With more workers it could have started at once on another
+// shard: a caller sharing a multiplexed connection would wait out
+// another caller's send, so a multi-worker pool keeps every frame on the
+// pipelined lane.
 //
 // Either way responses go out in request order: the reader may touch the
 // connection's write buffer only while the writer has nothing
 // outstanding (see connWriter), so an inline answer never overtakes a
 // pipelined one.
 type Server struct {
-	pool *serve.Pool
-	ln   net.Listener
-	opts Options
+	pool   *serve.Pool
+	ln     net.Listener
+	opts   Options
+	inline bool // the inline lane is open: the pool has one worker
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -114,7 +123,7 @@ func Serve(l net.Listener, pool *serve.Pool, opts Options) *Server {
 	if opts.DrainGrace <= 0 {
 		opts.DrainGrace = DefaultDrainGrace
 	}
-	s := &Server{pool: pool, ln: l, opts: opts, conns: make(map[net.Conn]struct{})}
+	s := &Server{pool: pool, ln: l, opts: opts, inline: pool.Workers() == 1, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -320,7 +329,6 @@ func (s *Server) serveConn(c net.Conn) {
 	// sends of the same message cost no allocation.
 	buf := make([]byte, 0, 512)
 	sels := make(map[string]string, 64)
-	rearmed := false
 
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -369,30 +377,33 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		s.framesIn.Add(1)
 
-		// Inline lane: the frame is the only work on the connection.
-		// TryInline never waits on a queue — a busy shard sends the frame
-		// down the pipelined lane — so the reader is never parked behind
-		// work it could have read past. A draining server stays pipelined
-		// so the reader keeps consuming frames through the grace window.
-		if w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
-			if res, ok := s.pool.TryInline(req); ok {
+		// Submission never waits on a queue: a full queue or in-flight
+		// ceiling completes the future immediately with ErrOverloaded,
+		// which the writer answers as StatusOverloaded — the same
+		// admission story as HTTP, over a cheaper wire.
+		var fut *serve.Future
+		if s.inline && w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
+			// Inline lane: the frame is the only work on the connection.
+			// Start runs it only on an idle shard and otherwise queues
+			// it, so the reader is never parked behind work it could
+			// have read past. A draining server stays pipelined so the
+			// reader keeps consuming frames through the grace window.
+			var res serve.Result
+			if res, fut = s.pool.Start(req); fut == nil {
 				s.respond(w, id, res, true, true)
 				// Shutdown may have set the drain deadline while this
 				// send ran, eating the grace the reader needs for frames
 				// that landed meanwhile; grant it once more.
-				if !rearmed && s.closed.Load() {
-					rearmed = true
+				if s.closed.Load() {
 					c.SetReadDeadline(time.Now().Add(s.opts.DrainGrace))
 				}
 				continue
 			}
+		} else {
+			fut = s.pool.Go(req)
 		}
-		// Pipelined lane. Go never blocks: a full queue or in-flight
-		// ceiling completes the future immediately with ErrOverloaded,
-		// which the writer answers as StatusOverloaded — the same
-		// admission story as HTTP, over a cheaper wire.
 		w.outstanding.Add(1)
-		pend <- pending{id: id, fut: s.pool.Go(req)}
+		pend <- pending{id: id, fut: fut}
 	}
 	close(pend)
 	<-writerDone

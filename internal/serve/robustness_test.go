@@ -400,16 +400,16 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestTryInlineNeverWaits pins TryInline's three answers: an idle shard
-// runs the request on the caller, a busy shard is reported as not taken
-// — at once, with nothing counted and no admission slot held — and an
-// admission refusal is answered like any other result.
-func TestTryInlineNeverWaits(t *testing.T) {
-	pool := serve.NewPool(spinSnapshot(t), serve.Config{Workers: 1, MaxInFlight: 8, Timeout: 30 * time.Second})
+// TestStartNeverWaits pins Start's three answers: an idle shard runs
+// the request on the caller; a busy shard gets it queued at once, under
+// the one admission slot it took, for the returned Future to deliver;
+// and an admission refusal is answered like any other result.
+func TestStartNeverWaits(t *testing.T) {
+	pool := serve.NewPool(spinSnapshot(t), serve.Config{Workers: 1, MaxInFlight: 2, Timeout: 30 * time.Second})
 	defer pool.Close()
 	quick := serve.Request{Receiver: word.FromInt(21), Selector: "quick"}
-	if res, ok := pool.TryInline(quick); !ok || res.Err != nil || res.Value.Int() != 42 {
-		t.Fatalf("idle shard: TryInline = %+v, %v; want 42, taken", res, ok)
+	if res, f := pool.Start(quick); f != nil || res.Err != nil || res.Value.Int() != 42 {
+		t.Fatalf("idle shard: Start = %+v, %v; want 42 answered inline", res, f)
 	}
 
 	var spinDone atomic.Bool
@@ -422,33 +422,38 @@ func TestTryInlineNeverWaits(t *testing.T) {
 	for pool.QueueDepths()[0] != 1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	res, ok := pool.TryInline(quick)
+	_, f := pool.Start(quick)
 	busyAnswered := !spinDone.Load()
-	if ok {
-		t.Fatalf("busy shard: TryInline took the request (%+v)", res)
+	if f == nil {
+		t.Fatal("busy shard: Start ran the request instead of queueing it")
 	}
 	if !busyAnswered {
-		t.Fatal("busy shard: TryInline returned only after the shard freed up")
+		t.Fatal("busy shard: Start returned only after the shard freed up")
 	}
-	if met := pool.Metrics(); met.Requests != 1 || met.Rejected != 0 {
-		t.Errorf("a request not taken was counted: requests %d, rejected %d", met.Requests, met.Rejected)
+	// The spinner and the queued request fill the ceiling of 2 exactly:
+	// the queued one was admitted once, not refused by a second admission.
+	if got := pool.InFlight(); got != 2 {
+		t.Errorf("in-flight = %d with the spinner running and one queued, want 2", got)
 	}
-	if got := pool.InFlight(); got != 1 {
-		t.Errorf("in-flight = %d with only the spinner admitted, want 1", got)
+	if met := pool.Metrics(); met.Rejected != 0 {
+		t.Errorf("rejected = %d, want 0", met.Rejected)
 	}
 	if res := <-spun; res.Err == nil {
 		t.Fatalf("spinner answered %+v, want its timeout", res)
 	}
+	if res := f.Wait(); res.Err != nil || res.Value.Int() != 42 {
+		t.Fatalf("queued request answered %+v, want 42", res)
+	}
 
 	refusing := serve.NewPool(spinSnapshot(t), serve.Config{Workers: 1, MaxInFlight: -1})
-	if res, ok := refusing.TryInline(quick); !ok || !errors.Is(res.Err, serve.ErrOverloaded) {
-		t.Fatalf("closed ceiling: TryInline = %+v, %v; want ErrOverloaded, answered", res, ok)
+	if res, f := refusing.Start(quick); f != nil || !errors.Is(res.Err, serve.ErrOverloaded) {
+		t.Fatalf("closed ceiling: Start = %+v, %v; want ErrOverloaded, answered", res, f)
 	}
 	if met := refusing.Metrics(); met.Rejected != 1 {
 		t.Errorf("rejected = %d after one refusal, want 1", met.Rejected)
 	}
 	refusing.Close()
-	if res, ok := refusing.TryInline(quick); !ok || !errors.Is(res.Err, serve.ErrClosed) {
-		t.Fatalf("closed pool: TryInline = %+v, %v; want ErrClosed, answered", res, ok)
+	if res, f := refusing.Start(quick); f != nil || !errors.Is(res.Err, serve.ErrClosed) {
+		t.Fatalf("closed pool: Start = %+v, %v; want ErrClosed, answered", res, f)
 	}
 }

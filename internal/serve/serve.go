@@ -6,7 +6,7 @@
 // and worker goroutine. The machine, not the goroutine, is the unit of
 // sharding: a per-shard mutex serialises execution, normally held by the
 // worker, but a caller hitting an idle shard drives the machine inline on
-// its own goroutine (TryInline, Do's fast path), skipping the queue's two
+// its own goroutine (Start, Do's fast path), skipping the queue's two
 // scheduler round-trips entirely.
 //
 // The request lifecycle is zero-allocation and lock-light end to end:
@@ -497,7 +497,7 @@ func (mm *shardMetrics) snapshot() Metrics {
 // shard is one worker: a private machine behind a private queue. Machine
 // execution is serialised by execMu — normally held by the shard's worker
 // goroutine, but an idle shard's machine may be driven directly by a
-// caller (see TryInline). pending counts queued-but-unfinished jobs plus
+// caller (see Start). pending counts queued-but-unfinished jobs plus
 // any inline execution — the JSQ depth signal.
 // inflight counts submitters inside the enqueue window (and inline
 // drivers for their whole execution), so Close can wait them out after
@@ -814,7 +814,7 @@ func (p *Pool) stampEnqueueBatch(s *shard, depth int64, reqs []Request, batch []
 	return base, int64(time.Since(p.epoch))
 }
 
-// enqInline marks a request that never queued: TryInline's fast path
+// enqInline marks a request that never queued: Start's fast path
 // executes on the caller's goroutine, so serveOne records the enqueue
 // and dispatch at the same instant with zero wait.
 const enqInline = int64(-1)
@@ -825,12 +825,20 @@ const enqInline = int64(-1)
 // Future immediately with ErrOverloaded instead of parking the caller
 // behind a backlog it cannot see.
 func (p *Pool) Go(req Request) *Future {
-	f := p.newFuture()
 	s, err := p.enter(req)
 	if err != nil {
+		f := p.newFuture()
 		f.complete(Result{Err: err})
 		return f
 	}
+	return p.enqueue(s, req)
+}
+
+// enqueue queues a request that enter admitted to shard s and releases
+// the shard's in-flight claim. A full queue completes the Future at
+// once with ErrOverloaded.
+func (p *Pool) enqueue(s *shard, req Request) *Future {
+	f := p.newFuture()
 	d := s.pending.Add(1)
 	id, enq := p.stampEnqueue(s, d, req)
 	select {
@@ -847,22 +855,24 @@ func (p *Pool) Go(req Request) *Future {
 	return f
 }
 
-// Do submits a request and waits for its result: TryInline, or Go and
-// Wait when the destination shard is busy.
+// Do submits a request and waits for its result.
 func (p *Pool) Do(req Request) Result {
-	if res, ok := p.TryInline(req); ok {
-		return res
+	res, f := p.Start(req)
+	if f != nil {
+		return f.Wait()
 	}
-	return p.Go(req).Wait()
+	return res
 }
 
-// TryInline answers a request without ever waiting on a queue. When the
+// Start submits a request without ever waiting on a queue. When the
 // destination shard is idle — its machine free and no queued work
 // outstanding — the request executes on the caller's goroutine instead
-// of bouncing through the shard's queue, saving two scheduler round-trips.
-// An admission refusal (closed pool, reached ceiling) is answered too.
-// ok is false only when the shard is busy: nothing ran and nothing was
-// counted, and the caller should submit with Go.
+// of bouncing through the shard's queue, saving two scheduler
+// round-trips, and its result comes back with a nil Future. An
+// admission refusal (closed pool, reached ceiling) is answered the same
+// way. When the shard is busy the request is queued there, as Go would,
+// and the Future delivering its result is returned; its Wait must be
+// called exactly once.
 //
 // The machine, not the goroutine, is the unit of sharding: execMu keeps
 // exactly one driver on it at a time, and the pending check (made after
@@ -870,10 +880,10 @@ func (p *Pool) Do(req Request) Result {
 // same caller already queued with Go. The inline execution itself counts
 // in pending, so the JSQ depth signal sees busy shards whichever path
 // drives them.
-func (p *Pool) TryInline(req Request) (res Result, ok bool) {
+func (p *Pool) Start(req Request) (Result, *Future) {
 	s, err := p.enter(req)
 	if err != nil {
-		return Result{Err: err}, true
+		return Result{Err: err}, nil
 	}
 	if s.execMu.TryLock() {
 		if s.pending.Load() == 0 {
@@ -882,15 +892,16 @@ func (p *Pool) TryInline(req Request) (res Result, ok bool) {
 			// still guarantees a quiescent pool: no machine is running
 			// once Close returns, inline drivers included.
 			s.pending.Add(1)
-			res = p.serveOne(s, req, s.nextReqID(), enqInline)
+			res := p.serveOne(s, req, s.nextReqID(), enqInline)
 			s.pending.Add(-1)
-			ok = true
+			s.execMu.Unlock()
+			s.inflight.Add(-1)
+			p.release(1)
+			return res, nil
 		}
 		s.execMu.Unlock()
 	}
-	s.inflight.Add(-1)
-	p.release(1)
-	return res, ok
+	return Result{}, p.enqueue(s, req)
 }
 
 // DoAll executes a batch and waits for every result, preserving request
@@ -1185,7 +1196,7 @@ func (p *Pool) serveJob(s *shard, j job) {
 // snapshot if "whatever" was a panic. Callers hold execMu, which makes
 // this the shard's single metrics and flight-event writer: id is the
 // request's flight id and enq its enqueue timestamp in recorder
-// nanoseconds (enqInline for TryInline's never-queued fast path).
+// nanoseconds (enqInline for Start's never-queued fast path).
 func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 	m := s.m
 	budget := req.MaxSteps
@@ -1222,7 +1233,7 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 		// One event marks execution beginning: dispatch for a queued
 		// request (pickup and exec start are the same instant here, and
 		// the arg carries the queue wait against the submitter's enqueue
-		// stamp), exec_start for TryInline's fast lane, which never
+		// stamp), exec_start for Start's fast lane, which never
 		// queued and so has no wait to report. All timestamps derive
 		// from the start reading above — the recorder adds no clock
 		// reads to the serving path.
