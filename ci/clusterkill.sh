@@ -10,8 +10,9 @@
 #     zero non-retryable failures, every checksum validated — the
 #     router absorbed the node death as failovers,
 #   - the router's health machinery noticed: the dead node's breaker
-#     opened (state "down", breaker_opens >= 1) and the router stayed
-#     ready (2/3 is still a quorum),
+#     opened (state "down", breaker_opens >= 1; breaker_opens counts
+#     outages, breaker_rearms the failed half-open probes after one)
+#     and the router stayed ready (2/3 is still a quorum),
 #   - accounting stays exact where it can be exact: with the dead node
 #     still down, a fixed batch of sends across the survivors conserves
 #     completed + rejected + shed == submitted + refusal-failovers
@@ -185,6 +186,7 @@ done
 [ "$STATE" = "healthy" ] || fail "restarted node state $STATE, want healthy (half-open probe never recovered it)"
 PROBES=$(node_stat "$B3" probes)
 RECOV=$(node_stat "$B3" recoveries)
+REARMS=$(node_stat "$B3" breaker_rearms)
 [ "$PROBES" -ge 1 ] || fail "probes $PROBES after rejoin, want >= 1"
 [ "$RECOV" -ge 1 ] || fail "recoveries $RECOV after rejoin, want >= 1"
 
@@ -200,4 +202,4 @@ ROUTABLE=$(curl -fsS "$ROUTER/stats" | jq -r .routable)
 for pid in "$P1" "$P2" "$P3" "$PR"; do kill "$pid" 2>/dev/null || true; done
 for pid in "$P1" "$P2" "$P3" "$PR"; do wait "$pid" 2>/dev/null || true; done
 P1="" P2="" P3="" PR=""
-echo "clusterkill: PASS — kill absorbed as $FAILOVERS failovers with zero client failures, breaker opened $OPENS time(s), conservation exact across survivors, node rejoined after $PROBES probe(s)"
+echo "clusterkill: PASS — kill absorbed as $FAILOVERS failovers with zero client failures, breaker opened $OPENS time(s) (outages) and re-armed $REARMS time(s) (failed half-open probes), conservation exact across survivors, node rejoined after $PROBES probe(s)"

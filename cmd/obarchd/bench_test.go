@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -43,13 +42,19 @@ func benchServer(b *testing.B, fast bool) (*httptest.Server, *serve.Pool) {
 // BenchmarkBinarySend measures the same tiny send over the obwire binary
 // transport: depth=1 is the synchronous round trip (one frame each way
 // per op, two syscalls of latency), depth=64 keeps a pipeline window
-// full so framing cost is measured with the syscalls amortised away. The
-// delta against BenchmarkHTTPSend/codec=fast is the net/http tax; the
-// 0-alloc assertion in CI covers client and server loops together,
-// since both run in this process.
+// full so framing cost is measured with the syscalls amortised away.
+// Both run a one-worker pool; depth=1,workers=2 is the round trip to a
+// 2-worker pool, where the Client's solo opening is what opens the
+// inline lane. The delta against BenchmarkHTTPSend/codec=fast is the
+// net/http tax; the 0-alloc assertion in CI covers client and server
+// loops together, since both run in this process.
 func BenchmarkBinarySend(b *testing.B) {
-	for _, depth := range []int{1, 64} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+	for _, bc := range []struct {
+		name           string
+		depth, workers int
+	}{{"depth=1", 1, 1}, {"depth=64", 64, 1}, {"depth=1,workers=2", 1, 2}} {
+		depth := bc.depth
+		b.Run(bc.name, func(b *testing.B) {
 			sys := obarch.NewSystem(obarch.Options{})
 			if err := sys.Load(`extend SmallInt [ method double [ ^self + self ] ]`); err != nil {
 				b.Fatal(err)
@@ -58,7 +63,7 @@ func BenchmarkBinarySend(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool := serve.NewPool(snap, serve.Config{Workers: 1, GCEvery: -1, Timeout: 10 * time.Second})
+			pool := serve.NewPool(snap, serve.Config{Workers: bc.workers, GCEvery: -1, Timeout: 10 * time.Second})
 			defer pool.Close()
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

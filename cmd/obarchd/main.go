@@ -114,7 +114,8 @@
 //	                  node identity (start_time, uptime_s, image provenance),
 //	                  Go runtime gauges, and fixed-bucket percentiles per
 //	                  stage: "latency_us"/"service_us" is machine service
-//	                  time (p50/p90/p99/p999), "queue_us" queue wait,
+//	                  time (p50/p90/p99/p999), "queue_us" queue wait per
+//	                  execution (0 for one run inline on an idle shard),
 //	                  "decode_us"/"encode_us" the HTTP codec spans, and
 //	                  "http_latency_us" the whole handler
 //	GET  /metrics     Prometheus text exposition of the same counters,
@@ -994,8 +995,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "checkpoints       taken=%d failures=%d generation=%d age_s=%.1f\n", taken, ckptFails, s.checkpointGen(), s.checkpointAge())
 		if s.bin != nil {
 			bst := s.bin.Stats()
-			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d frames_out=%d frames_inline=%d proto_errors=%d\n",
-				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
+			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d, solo %d) frames_in=%d frames_out=%d frames_inline=%d proto_errors=%d\n",
+				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.ConnsSolo, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
 		}
 		return
 	}
@@ -1056,6 +1057,7 @@ func (s *server) binaryStats() map[string]any {
 		"addr":           s.bin.Addr().String(),
 		"conns_accepted": st.ConnsAccepted,
 		"conns_active":   st.ConnsActive,
+		"conns_solo":     st.ConnsSolo,
 		"frames_in":      st.FramesIn,
 		"frames_out":     st.FramesOut,
 		"frames_inline":  st.FramesInline,

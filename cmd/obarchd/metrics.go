@@ -125,6 +125,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		bst := s.bin.Stats()
 		writeCounter(&b, "obarch_binary_conns_total", "Binary-transport connections accepted.", bst.ConnsAccepted)
 		writeGauge(&b, "obarch_binary_conns_active", "Binary-transport connections currently open.", float64(bst.ConnsActive))
+		writeCounter(&b, "obarch_binary_conns_solo_total", "Binary-transport connections opened solo (one caller), to which the inline lane is open.", bst.ConnsSolo)
 		writeCounter(&b, "obarch_binary_frames_in_total", "Binary-transport request frames decoded and dispatched.", bst.FramesIn)
 		writeCounter(&b, "obarch_binary_frames_out_total", "Binary-transport response frames placed in a connection's write buffer.", bst.FramesOut)
 		writeCounter(&b, "obarch_binary_frames_inline_total", "Binary-transport response frames answered inline by the connection's reader.", bst.FramesInline)
@@ -141,7 +142,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(&b, "# HELP go_gc_pause_seconds_total Host GC stop-the-world pause time.\n# TYPE go_gc_pause_seconds_total counter\ngo_gc_pause_seconds_total %g\n", float64(ms.PauseTotalNs)/1e9)
 
 	writeHistogram(&b, "obarch_service_latency_seconds", "Machine service time per request.", s.pool.LatencyHistogram())
-	writeHistogram(&b, "obarch_queue_wait_seconds", "Queue wait of queued requests (the inline fast lane never waits).", s.pool.QueueWaitHistogram())
+	writeHistogram(&b, "obarch_queue_wait_seconds", "Queue wait per execution; inline executions on an idle shard count as zero.", s.pool.QueueWaitHistogram())
 	writeHistogram(&b, "obarch_http_latency_seconds", "Whole HTTP handler: decode, queueing, service, encode.", s.httpLat.Snapshot())
 	writeHistogram(&b, "obarch_decode_seconds", "HTTP request read and parse span.", s.decLat.Snapshot())
 	writeHistogram(&b, "obarch_encode_seconds", "HTTP response encode and write span.", s.encLat.Snapshot())

@@ -264,6 +264,8 @@ func TestRouterObservability(t *testing.T) {
 		"obarch_cluster_quorum 1",
 		"obarch_cluster_node_state{",
 		"obarch_cluster_node_completed_total{",
+		"obarch_cluster_node_breaker_opens_total{",
+		"obarch_cluster_node_breaker_rearms_total{",
 		"obarch_cluster_send_seconds_count 10",
 	} {
 		if !strings.Contains(body, want) {

@@ -108,8 +108,10 @@ func (s *routerServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		func(r cluster.NodeStats) uint64 { return r.Shed })
 	nodeCounter(&b, "obarch_cluster_node_transport_errors_total", "Send attempts lost to connection errors.", st.Nodes,
 		func(r cluster.NodeStats) uint64 { return r.TransportErrs })
-	nodeCounter(&b, "obarch_cluster_node_breaker_opens_total", "Circuit-breaker openings.", st.Nodes,
+	nodeCounter(&b, "obarch_cluster_node_breaker_opens_total", "Outages: circuit-breaker openings from healthy or suspect.", st.Nodes,
 		func(r cluster.NodeStats) uint64 { return r.BreakerOpens })
+	nodeCounter(&b, "obarch_cluster_node_breaker_rearms_total", "Failed half-open probes that re-armed an open breaker.", st.Nodes,
+		func(r cluster.NodeStats) uint64 { return r.BreakerRearms })
 	nodeCounter(&b, "obarch_cluster_node_probes_total", "Half-open probes attempted.", st.Nodes,
 		func(r cluster.NodeStats) uint64 { return r.Probes })
 	nodeCounter(&b, "obarch_cluster_node_recoveries_total", "Breaker closings via a successful probe.", st.Nodes,

@@ -107,7 +107,8 @@ type Node struct {
 	rejected   atomic.Uint64 // answered StatusOverloaded
 	shed       atomic.Uint64 // answered StatusShed
 	transport  atomic.Uint64 // attempts lost to connection errors
-	opens      atomic.Uint64 // breaker openings (entered StateDown)
+	opens      atomic.Uint64 // outages: healthy/suspect → down
+	rearms     atomic.Uint64 // failed half-open probes: probing → down
 	probes     atomic.Uint64 // half-open probes attempted
 	recoveries atomic.Uint64 // breaker closings (probe succeeded)
 	pollFails  atomic.Uint64 // /readyz polls that failed or refused
@@ -204,19 +205,20 @@ func (n *Node) fail() {
 		n.state.Store(int32(StateSuspect))
 	case StateSuspect:
 		if n.consecFails >= n.cfg.FailThreshold {
+			n.opens.Add(1)
 			n.open()
 		}
 	case StateProbing:
+		n.rearms.Add(1)
 		n.open()
 	}
 }
 
 // open opens the breaker (mu held): the node goes down and the
-// cooldown clock starts.
+// cooldown clock starts. The caller counts it as an outage or a re-arm.
 func (n *Node) open() {
 	n.state.Store(int32(StateDown))
 	n.downSince = time.Now()
-	n.opens.Add(1)
 }
 
 // pollOK records a ready poll or a successful probe: the machine
@@ -383,21 +385,23 @@ type NodeStats struct {
 	Shed           uint64 `json:"shed"`
 	TransportErrs  uint64 `json:"transport_errors"`
 	BreakerOpens   uint64 `json:"breaker_opens"`
+	BreakerRearms  uint64 `json:"breaker_rearms"`
 	Probes         uint64 `json:"probes"`
 	Recoveries     uint64 `json:"recoveries"`
 	PollFails      uint64 `json:"poll_failures"`
 }
 
-// Stats snapshots the node for the cluster block.
+// Stats snapshots the node for the cluster block. The breaker counters
+// move only under mu, so they are read under it together: a snapshot
+// never shows a probe's outcome without the probe.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	reason := n.notReady
-	n.mu.Unlock()
+	defer n.mu.Unlock()
 	return NodeStats{
 		HTTPAddr:       n.HTTPAddr,
 		BinAddr:        n.BinAddr,
 		State:          n.State().String(),
-		NotReadyReason: reason,
+		NotReadyReason: n.notReady,
 		QueueDepth:     n.polledDepth.Load(),
 		Outstanding:    n.outstanding.Load(),
 		Forwards:       n.forwards.Load(),
@@ -406,6 +410,7 @@ func (n *Node) Stats() NodeStats {
 		Shed:           n.shed.Load(),
 		TransportErrs:  n.transport.Load(),
 		BreakerOpens:   n.opens.Load(),
+		BreakerRearms:  n.rearms.Load(),
 		Probes:         n.probes.Load(),
 		Recoveries:     n.recoveries.Load(),
 		PollFails:      n.pollFails.Load(),

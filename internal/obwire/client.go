@@ -19,6 +19,11 @@ import (
 // the caller's window: keep Sending until the window is full, then Recv
 // to free a slot. All buffers are reused, so the steady-state send path
 // allocates nothing.
+//
+// A Client opens its connection with MagicSolo: one caller drives it,
+// so the server may answer a frame that is the only work on the
+// connection inline on any pool (see Server). Callers that share one
+// connection use MuxClient, which opens with Magic.
 type Client struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -43,7 +48,8 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(c)
 }
 
-// NewClient wraps an established connection, sending the opening magic.
+// NewClient wraps an established connection, sending the solo opening
+// magic (MagicSolo) with its first frame.
 func NewClient(c net.Conn) (*Client, error) {
 	cl := &Client{
 		c:    c,
@@ -52,7 +58,7 @@ func NewClient(c net.Conn) (*Client, error) {
 		wbuf: make([]byte, 0, 256),
 		rbuf: make([]byte, 0, 256),
 	}
-	if _, err := cl.bw.WriteString(Magic); err != nil {
+	if _, err := cl.bw.WriteString(MagicSolo); err != nil {
 		c.Close()
 		return nil, err
 	}

@@ -36,7 +36,15 @@ type rawWant struct {
 	val  int32
 }
 
+// dialRaw opens a raw connection with the shared-connection opening.
 func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	return dialRawOpening(t, addr, Magic)
+}
+
+// dialRawOpening opens a raw connection that begins with opening; the
+// bytes go out with the first flush.
+func dialRawOpening(t *testing.T, addr, opening string) *rawConn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -44,7 +52,7 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	}
 	t.Cleanup(func() { c.Close() })
 	r := &rawConn{t: t, c: c, br: bufio.NewReader(c)}
-	r.out = append(r.out, Magic...)
+	r.out = append(r.out, opening...)
 	return r
 }
 
@@ -354,5 +362,161 @@ func TestInlineShutdownAnswersInFlight(t *testing.T) {
 	<-done
 	if st := s.Stats(); st.FramesIn != 2 || st.FramesOut != 2 || st.FramesInline != 1 {
 		t.Fatalf("frames in/out/inline = %d/%d/%d, want 2/2/1", st.FramesIn, st.FramesOut, st.FramesInline)
+	}
+}
+
+// TestLaneOpeningMultiWorker pins which connections take the inline lane
+// on a 2-worker pool: the opening decides. A Client opens solo, so its
+// depth-1 sends are all answered by the reader; a raw connection that
+// opens with Magic, the shared-connection opening, sending the same lone
+// frames, stays pipelined.
+func TestLaneOpeningMultiWorker(t *testing.T) {
+	const n = 100
+	cfg := serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}
+	t.Run("solo client", func(t *testing.T) {
+		s, _ := startServer(t, cfg, Options{})
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := int32(0); i < n; i++ {
+			resp, err := c.Do(serve.Request{Receiver: word.FromInt(i), Selector: "answer"})
+			if err != nil || !resp.OK() || resp.Value.Int() != i+1 {
+				t.Fatalf("send %d: %v %+v", i, err, resp)
+			}
+		}
+		st := s.Stats()
+		if st.FramesIn != n || st.FramesOut != n || st.FramesInline != n || st.ConnsSolo != 1 {
+			t.Fatalf("frames in/out/inline = %d/%d/%d, conns_solo %d; want %d each and 1 solo connection",
+				st.FramesIn, st.FramesOut, st.FramesInline, st.ConnsSolo, n)
+		}
+	})
+	t.Run("shared opening", func(t *testing.T) {
+		s, _ := startServer(t, cfg, Options{})
+		r := dialRaw(t, s.Addr().String())
+		for i := int32(0); i < n; i++ {
+			r.send(i)
+			r.flush()
+			r.expect()
+		}
+		st := s.Stats()
+		if st.FramesIn != n || st.FramesOut != n || st.FramesInline != 0 || st.ConnsSolo != 0 {
+			t.Fatalf("frames in/out/inline = %d/%d/%d, conns_solo %d; want %d/%d/0 and no solo connection",
+				st.FramesIn, st.FramesOut, st.FramesInline, st.ConnsSolo, n, n)
+		}
+	})
+}
+
+// TestLaneSoloWindowMultiWorker runs a pipelining solo Client against a
+// 2-worker pool, where its frames land on both shards: 64-deep windows
+// kept full, each followed by depth-1 round trips. Recv checks every
+// answer's frame id against send order, so an inline answer overtaking
+// a pipelined one fails here; both lanes must have carried traffic.
+func TestLaneSoloWindowMultiWorker(t *testing.T) {
+	s, _ := startServer(t, serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}, Options{})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const depth = 64
+	var sent, answered int32
+	recv := func() {
+		t.Helper()
+		resp, err := c.Recv()
+		if err != nil || !resp.OK() || resp.Value.Int() != answered+1 {
+			t.Fatalf("answer %d: %v %+v", answered, err, resp)
+		}
+		answered++
+	}
+	for round := 0; round < 10; round++ {
+		for i := 0; i < 4*depth; i++ {
+			if _, err := c.Send(serve.Request{Receiver: word.FromInt(sent), Selector: "answer"}); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			for c.InFlight() >= depth {
+				recv()
+			}
+		}
+		for c.InFlight() > 0 {
+			recv()
+		}
+		for i := 0; i < 8; i++ {
+			if _, err := c.Send(serve.Request{Receiver: word.FromInt(sent), Selector: "answer"}); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			recv()
+		}
+	}
+	st := s.Stats()
+	if st.FramesIn != uint64(sent) || st.FramesOut != uint64(sent) || st.ConnsSolo != 1 {
+		t.Fatalf("frames in/out = %d/%d, conns_solo %d; want %d and 1", st.FramesIn, st.FramesOut, st.ConnsSolo, sent)
+	}
+	if st.FramesInline == 0 || st.FramesInline >= st.FramesIn {
+		t.Fatalf("frames_inline = %d of %d: both lanes must have carried traffic", st.FramesInline, st.FramesIn)
+	}
+}
+
+// TestLaneUnknownOpening proves an opening that is neither Magic nor
+// MagicSolo poisons only its own connection. A solo Client and a shared
+// MuxClient stay open on a 2-worker pool across every bad opening — the
+// near misses of both magics among them — and keep being answered, as
+// does a raw connection that opens solo.
+func TestLaneUnknownOpening(t *testing.T) {
+	s, _ := startServer(t, serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}, Options{})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := DialMux(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	check := func(when string) {
+		t.Helper()
+		req := serve.Request{Receiver: word.FromInt(7), Selector: "answer"}
+		if resp, err := c.Do(req); err != nil || resp.Value.Int() != 8 {
+			t.Fatalf("%s: solo client: %v %+v", when, err, resp)
+		}
+		if resp, err := m.Do(req); err != nil || resp.Value.Int() != 8 {
+			t.Fatalf("%s: mux client: %v %+v", when, err, resp)
+		}
+		r := dialRawOpening(t, s.Addr().String(), MagicSolo)
+		r.send(9)
+		r.flush()
+		r.expect()
+	}
+	check("before")
+	bad := []string{"OBS0", "OBS2", "OBW2", "obs1", "OBW\x00", "GET "}
+	for i, opening := range bad {
+		raw, err := net.Dial("tcp", s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(appendRequest([]byte(opening), 0, serve.Request{Receiver: word.FromInt(1), Selector: "answer"})); err != nil {
+			t.Fatal(err)
+		}
+		// The server must hang up without answering the frame.
+		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+		n, err := io.Copy(io.Discard, raw)
+		if ne, ok := err.(net.Error); n != 0 || ok && ne.Timeout() {
+			t.Fatalf("opening %q: read %d bytes, %v; want a hang-up with no answer", opening, n, err)
+		}
+		raw.Close()
+		waitFor(t, fmt.Sprintf("opening %q to count", opening), func() bool { return s.Stats().ProtoErrors == uint64(i+1) })
+		check(fmt.Sprintf("after opening %q", opening))
+	}
+	// Each check sends one frame over the Client, one over the MuxClient
+	// and one over a fresh raw solo connection.
+	st := s.Stats()
+	checks := uint64(1 + len(bad))
+	if st.FramesIn != 3*checks || st.ConnsSolo != 1+checks || st.ProtoErrors != uint64(len(bad)) {
+		t.Fatalf("frames_in %d, conns_solo %d, proto_errors %d; want %d, %d, %d",
+			st.FramesIn, st.ConnsSolo, st.ProtoErrors, 3*checks, 1+checks, len(bad))
 	}
 }

@@ -55,7 +55,9 @@ type muxWaiter struct {
 // serialise briefly to append their frame and enqueue a waiter; the
 // reader goroutine pairs responses with waiters in order. Depth is
 // whatever the callers' concurrency makes it — the cluster router's
-// natural pipelining.
+// natural pipelining. It opens with Magic, not MagicSolo: its callers'
+// frames must each be read as soon as they land, so a send on one shard
+// never waits out another caller's send on the same connection.
 type MuxClient struct {
 	c  net.Conn
 	bw *bufio.Writer

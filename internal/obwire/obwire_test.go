@@ -16,7 +16,7 @@ import (
 
 // answerSnapshot compiles an image whose answer method adds val — the
 // same fixture the serve tests use.
-func answerSnapshot(t *testing.T, val int) *core.Snapshot {
+func answerSnapshot(t testing.TB, val int) *core.Snapshot {
 	t.Helper()
 	m := core.New(core.Config{})
 	c, err := smalltalk.Compile(fmt.Sprintf(`

@@ -57,6 +57,7 @@ const DefaultDrainGrace = 200 * time.Millisecond
 type Stats struct {
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   uint64 `json:"conns_active"`
+	ConnsSolo     uint64 `json:"conns_solo"`
 	FramesIn      uint64 `json:"frames_in"`
 	FramesOut     uint64 `json:"frames_out"`
 	FramesInline  uint64 `json:"frames_inline"`
@@ -68,9 +69,9 @@ type Stats struct {
 // serve.Pool. Every connection runs one reader goroutine and one writer
 // goroutine, and a send frame takes one of two lanes:
 //
-//   - Inline: when the pool has one worker and the frame is the only
-//     work on its connection — nothing more buffered behind it, no
-//     answer outstanding — the reader runs it on the idle shard
+//   - Inline: when the lane is open on the connection and the frame is
+//     the only work on it — nothing more buffered behind it, no answer
+//     outstanding — the reader runs it on the idle shard
 //     (serve.Pool.Start) and encodes, writes and flushes the answer
 //     itself. A depth-1 send costs one server goroutine instead of three.
 //   - Pipelined: every other frame, and a lone frame whose shard is busy,
@@ -78,12 +79,14 @@ type Stats struct {
 //     (await future → encode → write), many requests deep.
 //
 // An inline send holds its connection's reader, so a frame that arrives
-// behind it is read only once it ends. With one worker that costs
-// nothing, since the frame could not have run before the shard freed up
-// anyway. With more workers it could have started at once on another
-// shard: a caller sharing a multiplexed connection would wait out
-// another caller's send, so a multi-worker pool keeps every frame on the
-// pipelined lane.
+// behind it is read only once it ends. The lane is open where that costs
+// nothing: on a one-worker pool, where the frame could not have run
+// before the shard freed up anyway, and on a connection opened with
+// MagicSolo, where the frame is the same caller's and the most it waits
+// is one of that caller's sends. A connection opened with Magic to a
+// multi-worker pool keeps every frame pipelined: its callers may share
+// it, and one caller's frame could have started at once on another shard
+// instead of waiting out another caller's send.
 //
 // Either way responses go out in request order: the reader may touch the
 // connection's write buffer only while the writer has nothing
@@ -93,7 +96,7 @@ type Server struct {
 	pool   *serve.Pool
 	ln     net.Listener
 	opts   Options
-	inline bool // the inline lane is open: the pool has one worker
+	inline bool // the inline lane is open on every connection: the pool has one worker
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -103,6 +106,7 @@ type Server struct {
 
 	connsAccepted atomic.Uint64
 	connsActive   atomic.Int64
+	connsSolo     atomic.Uint64
 	framesIn      atomic.Uint64
 	framesOut     atomic.Uint64
 	framesInline  atomic.Uint64
@@ -136,9 +140,10 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // decoded and dispatched; FramesOut counts answers placed in a write
 // buffer (each before the flush that sends it, so a client holding its
 // answer always sees it counted); FramesInline counts the answers the
-// reader produced on the inline lane. The loads run against the order
-// the counters tick, so a snapshot always has
-// FramesInline <= FramesOut <= FramesIn.
+// reader produced on the inline lane; ConnsSolo counts the connections
+// that opened with MagicSolo, the ones the inline lane is open to on a
+// multi-worker pool. The loads run against the order the counters tick,
+// so a snapshot always has FramesInline <= FramesOut <= FramesIn.
 func (s *Server) Stats() Stats {
 	active := s.connsActive.Load()
 	if active < 0 {
@@ -149,6 +154,7 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		ConnsAccepted: s.connsAccepted.Load(),
 		ConnsActive:   uint64(active),
+		ConnsSolo:     s.connsSolo.Load(),
 		FramesIn:      s.framesIn.Load(),
 		FramesOut:     out,
 		FramesInline:  inline,
@@ -286,9 +292,9 @@ func (s *Server) respond(w *connWriter, id uint64, res serve.Result, inline, flu
 }
 
 // serveConn is the per-connection reader half of the read→dispatch→write
-// loop: validate the magic, then read frames, decode them, and either
-// answer a lone send frame inline or hand the pool futures to the writer
-// in order. Any protocol error stops the reading — poisoning exactly this
+// loop: validate the magic (a solo one opens the inline lane), then read
+// frames, decode them, and either answer a lone send frame inline or
+// hand the pool futures to the writer in order. Any protocol error stops the reading — poisoning exactly this
 // connection — while the writer drains and answers everything already
 // dispatched.
 func (s *Server) serveConn(c net.Conn) {
@@ -314,7 +320,9 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, 1<<16)
 	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:]) != Magic {
+	_, err := io.ReadFull(br, hdr[:])
+	solo := err == nil && string(hdr[:]) == MagicSolo
+	if err != nil || (!solo && string(hdr[:]) != Magic) {
 		if err == nil {
 			s.protoErrors.Add(1)
 			s.logf("obwire: %s: bad magic %q", c.RemoteAddr(), hdr[:])
@@ -323,6 +331,10 @@ func (s *Server) serveConn(c net.Conn) {
 		<-writerDone
 		return
 	}
+	if solo {
+		s.connsSolo.Add(1)
+	}
+	inline := s.inline || solo
 
 	// Per-connection reusable state: the frame buffer grows to the
 	// largest frame seen and stays; selectors are interned so repeat
@@ -382,7 +394,7 @@ func (s *Server) serveConn(c net.Conn) {
 		// which the writer answers as StatusOverloaded — the same
 		// admission story as HTTP, over a cheaper wire.
 		var fut *serve.Future
-		if s.inline && w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
+		if inline && w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
 			// Inline lane: the frame is the only work on the connection.
 			// Start runs it only on an idle shard and otherwise queues
 			// it, so the reader is never parked behind work it could

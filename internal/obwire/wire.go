@@ -13,10 +13,22 @@
 //
 // # Framing
 //
-// A connection opens with the 4-byte magic "OBW1" from the client. Every
-// frame after that is a little-endian u32 payload length followed by the
-// payload. Values use the fastwire image encoding: a machine word is its
-// tag byte plus 4 payload bytes.
+// A connection opens with a 4-byte magic from the client, one of two:
+//
+//   - "OBW1" (Magic): any number of callers may share the connection,
+//     as MuxClient's do. Every frame is read as soon as it lands, so a
+//     frame from one caller never waits behind another caller's send.
+//   - "OBS1" (MagicSolo): one caller drives the connection, as Client's
+//     one goroutine does. Whatever arrives behind a send is that same
+//     caller's, so the server may run a frame that is the only work on
+//     the connection on the connection's reader (the inline lane; see
+//     Server): the most it holds back is one send of the caller's own.
+//
+// The server cannot tell the two shapes apart from traffic, so the
+// client says which it is. Anything else poisons the connection. Every
+// frame after the magic is a little-endian u32 payload length followed
+// by the payload. Values use the fastwire image encoding: a machine word
+// is its tag byte plus 4 payload bytes.
 //
 // Request payload (client → server):
 //
@@ -62,10 +74,16 @@ import (
 	"repro/internal/word"
 )
 
-// Magic opens every connection, client first. A listener that reads
-// anything else closes immediately — a cheap guard against stray HTTP
-// clients and port scanners wedging a frame parser.
+// Magic opens a connection that any number of callers may share,
+// client first. A listener that reads neither it nor MagicSolo closes
+// immediately — a cheap guard against stray HTTP clients and port
+// scanners wedging a frame parser.
 const Magic = "OBW1"
+
+// MagicSolo opens a connection that one caller drives, and promises
+// that no other caller will share it. Frames and answers are the same as
+// under Magic; only the server's choice of lane differs.
+const MagicSolo = "OBS1"
 
 // Frame types.
 const (

@@ -64,10 +64,11 @@ func TestFlightEventsUnderTraffic(t *testing.T) {
 	if kinds[flight.KindAbort] != 0 {
 		t.Errorf("abort count = %d, want 0", kinds[flight.KindAbort])
 	}
-	// Every dispatched request's wait landed in the queue-wait histogram.
-	if h := pool.QueueWaitHistogram(); h.Count() != 4 {
+	// Every execution's wait landed in the queue-wait histogram: the four
+	// dispatched requests' waits and the inline Do's zero.
+	if h := pool.QueueWaitHistogram(); h.Count() != 5 || h.Counts[0] == 0 {
 		n := h.Count()
-		t.Errorf("queue-wait samples = %d, want 4", n)
+		t.Errorf("queue-wait samples = %d (zero bucket %d), want 5 with the inline one at zero", n, h.Counts[0])
 	}
 	// Per-request chains are coherent: each exec_end's request id has a
 	// dispatch or exec_start before it at a timestamp no later.

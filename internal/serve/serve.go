@@ -1096,7 +1096,9 @@ func (p *Pool) LatencyHistogram() stats.Histogram {
 
 // QueueWaitHistogram merges the shards' queue-wait histograms: the time
 // between a request's enqueue and its dispatch, the first stage span.
-// Only populated while the flight recorder is live (the stamps are its).
+// Every execution and every shed is observed; an inline execution
+// (Start on an idle shard) never queued and counts as a zero wait. Only
+// populated while the flight recorder is live (the stamps are its).
 func (p *Pool) QueueWaitHistogram() stats.Histogram {
 	var out stats.Histogram
 	for _, s := range p.shards {
@@ -1233,13 +1235,15 @@ func (p *Pool) serveOne(s *shard, req Request, id uint64, enq int64) Result {
 		// One event marks execution beginning: dispatch for a queued
 		// request (pickup and exec start are the same instant here, and
 		// the arg carries the queue wait against the submitter's enqueue
-		// stamp), exec_start for Start's fast lane, which never
-		// queued and so has no wait to report. All timestamps derive
-		// from the start reading above — the recorder adds no clock
-		// reads to the serving path.
+		// stamp), exec_start for Start's fast lane, which never queued:
+		// its wait is observed as zero, so the queue-wait percentiles
+		// cover every execution, not only the queued ones. All
+		// timestamps derive from the start reading above — the recorder
+		// adds no clock reads to the serving path.
 		ts0 = fr.TS(start)
 		if enq == enqInline {
 			fr.RecordAt(flight.KindExecStart, id, budget, ts0)
+			s.qlat.Observe(0)
 		} else {
 			wait = ts0 - enq
 			fr.RecordAt(flight.KindDispatch, id, uint64(wait), ts0)
