@@ -44,8 +44,7 @@ func benchServer(b *testing.B, fast bool) (*httptest.Server, *serve.Pool) {
 // per op, two syscalls of latency), depth=64 keeps a pipeline window
 // full so framing cost is measured with the syscalls amortised away.
 // Both run a one-worker pool; depth=1,workers=2 is the round trip to a
-// 2-worker pool, where the Client's solo opening is what opens the
-// inline lane. The delta against BenchmarkHTTPSend/codec=fast is the
+// 2-worker pool, where Do's lone frame is what opens the inline lane. The delta against BenchmarkHTTPSend/codec=fast is the
 // net/http tax; the 0-alloc assertion in CI covers client and server
 // loops together, since both run in this process.
 func BenchmarkBinarySend(b *testing.B) {

@@ -995,8 +995,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "checkpoints       taken=%d failures=%d generation=%d age_s=%.1f\n", taken, ckptFails, s.checkpointGen(), s.checkpointAge())
 		if s.bin != nil {
 			bst := s.bin.Stats()
-			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d, solo %d) frames_in=%d frames_out=%d frames_inline=%d proto_errors=%d\n",
-				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.ConnsSolo, bst.FramesIn, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
+			fmt.Fprintf(w, "binary            addr=%s conns=%d (active %d) frames_in=%d (lone %d) frames_out=%d frames_inline=%d proto_errors=%d\n",
+				s.bin.Addr(), bst.ConnsAccepted, bst.ConnsActive, bst.FramesIn, bst.FramesLone, bst.FramesOut, bst.FramesInline, bst.ProtoErrors)
 		}
 		return
 	}
@@ -1057,8 +1057,8 @@ func (s *server) binaryStats() map[string]any {
 		"addr":           s.bin.Addr().String(),
 		"conns_accepted": st.ConnsAccepted,
 		"conns_active":   st.ConnsActive,
-		"conns_solo":     st.ConnsSolo,
 		"frames_in":      st.FramesIn,
+		"frames_lone":    st.FramesLone,
 		"frames_out":     st.FramesOut,
 		"frames_inline":  st.FramesInline,
 		"proto_errors":   st.ProtoErrors,

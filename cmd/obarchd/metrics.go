@@ -125,8 +125,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		bst := s.bin.Stats()
 		writeCounter(&b, "obarch_binary_conns_total", "Binary-transport connections accepted.", bst.ConnsAccepted)
 		writeGauge(&b, "obarch_binary_conns_active", "Binary-transport connections currently open.", float64(bst.ConnsActive))
-		writeCounter(&b, "obarch_binary_conns_solo_total", "Binary-transport connections opened solo (one caller), to which the inline lane is open.", bst.ConnsSolo)
 		writeCounter(&b, "obarch_binary_frames_in_total", "Binary-transport request frames decoded and dispatched.", bst.FramesIn)
+		writeCounter(&b, "obarch_binary_frames_lone_total", "Binary-transport request frames sent lone (nothing follows until answered), to which the inline lane is open on any pool.", bst.FramesLone)
 		writeCounter(&b, "obarch_binary_frames_out_total", "Binary-transport response frames placed in a connection's write buffer.", bst.FramesOut)
 		writeCounter(&b, "obarch_binary_frames_inline_total", "Binary-transport response frames answered inline by the connection's reader.", bst.FramesInline)
 		writeCounter(&b, "obarch_binary_proto_errors_total", "Malformed binary frames; each poisons exactly its own connection.", bst.ProtoErrors)

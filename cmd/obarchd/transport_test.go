@@ -261,9 +261,9 @@ func TestDrainAnswersInFlightBinaryFrames(t *testing.T) {
 
 // TestBinaryInlineSurfaces checks that the binary block reports the
 // inline lane on every surface: N depth-1 round trips on an idle pool
-// (GC off, so nothing but the sends touches a shard) over one solo
-// connection are all answered inline, and /stats JSON,
-// /stats?format=text and /metrics agree.
+// (GC off, so nothing but the sends touches a shard), each a lone frame,
+// are all answered inline, and /stats JSON, /stats?format=text and
+// /metrics agree.
 func TestBinaryInlineSurfaces(t *testing.T) {
 	h, pool := newConfigServer(t, serve.Config{Workers: 1, GCEvery: -1, Timeout: 30 * time.Second})
 	defer pool.Close()
@@ -295,8 +295,8 @@ func TestBinaryInlineSurfaces(t *testing.T) {
 	}
 	var st struct {
 		Binary struct {
-			ConnsSolo    uint64 `json:"conns_solo"`
 			FramesIn     uint64 `json:"frames_in"`
+			FramesLone   uint64 `json:"frames_lone"`
 			FramesOut    uint64 `json:"frames_out"`
 			FramesInline uint64 `json:"frames_inline"`
 		} `json:"binary"`
@@ -304,14 +304,14 @@ func TestBinaryInlineSurfaces(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if b := st.Binary; b.FramesIn != n || b.FramesOut != n || b.FramesInline != n || b.ConnsSolo != 1 {
-		t.Fatalf("/stats binary frames in/out/inline = %d/%d/%d, conns_solo %d; want %d each and 1", b.FramesIn, b.FramesOut, b.FramesInline, b.ConnsSolo, n)
+	if b := st.Binary; b.FramesIn != n || b.FramesLone != n || b.FramesOut != n || b.FramesInline != n {
+		t.Fatalf("/stats binary frames in/lone/out/inline = %d/%d/%d/%d, want %d each", b.FramesIn, b.FramesLone, b.FramesOut, b.FramesInline, n)
 	}
-	if _, text := get(t, ts, "/stats?format=text"); !strings.Contains(text, fmt.Sprintf("solo 1) frames_in=%d frames_out=%d frames_inline=%d ", n, n, n)) {
-		t.Errorf("/stats?format=text lacks solo 1 and frames_inline=%d:\n%s", n, text)
+	if _, text := get(t, ts, "/stats?format=text"); !strings.Contains(text, fmt.Sprintf("frames_in=%d (lone %d) frames_out=%d frames_inline=%d ", n, n, n, n)) {
+		t.Errorf("/stats?format=text lacks lone %d and frames_inline=%d:\n%s", n, n, text)
 	}
 	_, metrics := get(t, ts, "/metrics")
-	for _, line := range []string{fmt.Sprintf("obarch_binary_frames_inline_total %d", n), "obarch_binary_conns_solo_total 1"} {
+	for _, line := range []string{fmt.Sprintf("obarch_binary_frames_inline_total %d", n), fmt.Sprintf("obarch_binary_frames_lone_total %d", n)} {
 		if !strings.Contains(metrics, "\n"+line+"\n") {
 			t.Errorf("/metrics lacks %s", line)
 		}

@@ -20,10 +20,11 @@ import (
 // to free a slot. All buffers are reused, so the steady-state send path
 // allocates nothing.
 //
-// A Client opens its connection with MagicSolo: one caller drives it,
-// so the server may answer a frame that is the only work on the
-// connection inline on any pool (see Server). Callers that share one
-// connection use MuxClient, which opens with Magic.
+// Do marks its frame lone (frameSendLone): nothing follows it until it
+// is answered, so the server may run it on the connection's reader on
+// any pool (see Server). Send's frames are plain: a window's later
+// frames may be right behind them, and each must be read as it lands.
+// A server that predates lone frames refuses Do's (see Framing).
 type Client struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -48,8 +49,7 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(c)
 }
 
-// NewClient wraps an established connection, sending the solo opening
-// magic (MagicSolo) with its first frame.
+// NewClient wraps an established connection, sending the opening magic.
 func NewClient(c net.Conn) (*Client, error) {
 	cl := &Client{
 		c:    c,
@@ -58,7 +58,7 @@ func NewClient(c net.Conn) (*Client, error) {
 		wbuf: make([]byte, 0, 256),
 		rbuf: make([]byte, 0, 256),
 	}
-	if _, err := cl.bw.WriteString(MagicSolo); err != nil {
+	if _, err := cl.bw.WriteString(Magic); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -75,9 +75,14 @@ func (c *Client) InFlight() int { return c.unAcked }
 // bytes reach the server on the next Flush or Recv — batching frames
 // into one syscall is exactly the pipelining win.
 func (c *Client) Send(req serve.Request) (uint64, error) {
+	return c.send(frameSend, req)
+}
+
+// send encodes and buffers one frame of type typ.
+func (c *Client) send(typ byte, req serve.Request) (uint64, error) {
 	id := c.nextID
 	c.nextID++
-	c.wbuf = appendRequest(c.wbuf[:0], id, req)
+	c.wbuf = appendRequest(c.wbuf[:0], typ, id, req)
 	if _, err := c.bw.Write(c.wbuf); err != nil {
 		return 0, err
 	}
@@ -130,14 +135,14 @@ func (c *Client) Recv() (Response, error) {
 	return resp, nil
 }
 
-// Do is the synchronous round trip: one Send, one Recv. Only valid with
-// nothing else in flight — mixing Do into an open pipeline would hand
-// back some earlier send's response.
+// Do is the synchronous round trip: one lone send, one Recv. Only valid
+// with nothing else in flight — mixing Do into an open pipeline would
+// hand back some earlier send's response.
 func (c *Client) Do(req serve.Request) (Response, error) {
 	if c.unAcked != 0 {
 		return Response{}, fmt.Errorf("obwire: Do with %d sends in flight", c.unAcked)
 	}
-	if _, err := c.Send(req); err != nil {
+	if _, err := c.send(frameSendLone, req); err != nil {
 		return Response{}, err
 	}
 	return c.Recv()

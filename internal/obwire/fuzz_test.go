@@ -96,25 +96,26 @@ func readAnswers(c net.Conn) (results, pongs uint64, err error) {
 // which lane it takes. Whatever the bytes, the server must not panic,
 // must answer every frame it dispatched with a frame that decodes, must
 // drain within DrainGrace once the input stops, and must keep
-// FramesInline <= FramesOut <= FramesIn.
+// FramesInline <= FramesOut <= FramesIn — and, on the 2-worker pool,
+// FramesInline <= FramesLone, since only lone frames run inline there.
 func FuzzServeConn(f *testing.F) {
-	send := appendRequest(nil, 7, serve.Request{Receiver: word.FromInt(3), Selector: "answer"})
-	withArg := appendRequest(nil, 8, serve.Request{Receiver: word.FromInt(3), Selector: "answer", Args: []word.Word{word.FromInt(1)}})
 	ping := appendPing(nil, 9)
-	frames := func(opening string, fs ...[]byte) []byte {
-		return bytes.Join(append([][]byte{[]byte(opening)}, fs...), nil)
+	frames := func(fs ...[]byte) []byte {
+		return bytes.Join(append([][]byte{[]byte(Magic)}, fs...), nil)
 	}
-	for _, opening := range []string{Magic, MagicSolo} {
-		f.Add(frames(opening, send), uint8(0))
-		f.Add(frames(opening, send, ping, send, withArg), uint8(1))
-		f.Add(frames(opening, send, send, send, ping), uint8(0))
-		f.Add(frames(opening, send, ping)[:len(opening)+len(send)+3], uint8(2)) // truncated
-		f.Add(frames(opening, []byte{0xff, 0xff, 0xff, 0x7f}), uint8(0))        // oversized
-		f.Add(frames(opening, []byte{0, 0, 0, 0}), uint8(0))                    // zero length
-		f.Add(frames(opening, []byte{5, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0x99}), uint8(0))
+	for _, typ := range []byte{frameSend, frameSendLone} {
+		send := appendRequest(nil, typ, 7, serve.Request{Receiver: word.FromInt(3), Selector: "answer"})
+		withArg := appendRequest(nil, typ, 8, serve.Request{Receiver: word.FromInt(3), Selector: "answer", Args: []word.Word{word.FromInt(1)}})
+		f.Add(frames(send), uint8(0))
+		f.Add(frames(send, ping, send, withArg), uint8(1))
+		f.Add(frames(send, send, send, ping), uint8(0))
+		f.Add(frames(send, ping)[:len(Magic)+len(send)+3], uint8(2)) // truncated
 	}
+	f.Add(frames([]byte{0xff, 0xff, 0xff, 0x7f}), uint8(0)) // oversized
+	f.Add(frames([]byte{0, 0, 0, 0}), uint8(0))             // zero length
+	f.Add(frames([]byte{5, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0x99}), uint8(0))
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"), uint8(0))
-	f.Add([]byte("OBS"), uint8(1))
+	f.Add([]byte("OBW"), uint8(1))
 
 	snap := answerSnapshot(f, 1)
 	var pools []*serve.Pool
@@ -170,8 +171,9 @@ func FuzzServeConn(f *testing.F) {
 				t.Fatalf("%d workers: %v", pool.Workers(), a.err)
 			}
 			st := s.Stats()
-			if st.FramesInline > st.FramesOut || st.FramesOut > st.FramesIn {
-				t.Fatalf("%d workers: frames in/out/inline = %d/%d/%d", pool.Workers(), st.FramesIn, st.FramesOut, st.FramesInline)
+			if st.FramesInline > st.FramesOut || st.FramesOut > st.FramesIn || st.FramesLone > st.FramesIn ||
+				pool.Workers() > 1 && st.FramesInline > st.FramesLone {
+				t.Fatalf("%d workers: frames in/lone/out/inline = %d/%d/%d/%d", pool.Workers(), st.FramesIn, st.FramesLone, st.FramesOut, st.FramesInline)
 			}
 			if a.results != st.FramesIn || a.pongs != st.Pings {
 				t.Fatalf("%d workers: read %d results and %d pongs; server took %d frames and %d pings",

@@ -36,15 +36,7 @@ type rawWant struct {
 	val  int32
 }
 
-// dialRaw opens a raw connection with the shared-connection opening.
 func dialRaw(t *testing.T, addr string) *rawConn {
-	t.Helper()
-	return dialRawOpening(t, addr, Magic)
-}
-
-// dialRawOpening opens a raw connection that begins with opening; the
-// bytes go out with the first flush.
-func dialRawOpening(t *testing.T, addr, opening string) *rawConn {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -52,13 +44,13 @@ func dialRawOpening(t *testing.T, addr, opening string) *rawConn {
 	}
 	t.Cleanup(func() { c.Close() })
 	r := &rawConn{t: t, c: c, br: bufio.NewReader(c)}
-	r.out = append(r.out, opening...)
+	r.out = append(r.out, Magic...)
 	return r
 }
 
-// send queues one send of answer to recv; the fixture image adds 1.
+// send queues one plain send of answer to recv; the fixture image adds 1.
 func (r *rawConn) send(recv int32) {
-	r.out = appendRequest(r.out, r.next, serve.Request{Receiver: word.FromInt(recv), Selector: "answer"})
+	r.out = appendRequest(r.out, frameSend, r.next, serve.Request{Receiver: word.FromInt(recv), Selector: "answer"})
 	r.want = append(r.want, rawWant{id: r.next, val: recv + 1})
 	r.next++
 }
@@ -285,8 +277,8 @@ func TestLaneSwitchBusyShard(t *testing.T) {
 	}
 }
 
-// TestLaneMultiWorkerOverlap pins why a multi-worker pool keeps the
-// inline lane shut. Two callers share one multiplexed connection to a
+// TestLaneMultiWorkerOverlap pins why a multi-worker pool keeps plain
+// frames off the inline lane. Two callers share one multiplexed connection to a
 // 2-worker pool, keyed to different shards, each send held by a stall.
 // The second frame goes out only once the first is executing, and must
 // reach its own shard while the first still runs: had the reader been
@@ -365,15 +357,15 @@ func TestInlineShutdownAnswersInFlight(t *testing.T) {
 	}
 }
 
-// TestLaneOpeningMultiWorker pins which connections take the inline lane
-// on a 2-worker pool: the opening decides. A Client opens solo, so its
-// depth-1 sends are all answered by the reader; a raw connection that
-// opens with Magic, the shared-connection opening, sending the same lone
-// frames, stays pipelined.
-func TestLaneOpeningMultiWorker(t *testing.T) {
+// TestLaneLoneMultiWorker pins which frames take the inline lane on a
+// 2-worker pool: the lone ones. Client.Do marks its frame lone, so its
+// depth-1 sends are all answered by the reader; the same depth-1
+// traffic sent as plain frames, by Client.Send and by a raw connection,
+// stays pipelined.
+func TestLaneLoneMultiWorker(t *testing.T) {
 	const n = 100
 	cfg := serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}
-	t.Run("solo client", func(t *testing.T) {
+	t.Run("Do", func(t *testing.T) {
 		s, _ := startServer(t, cfg, Options{})
 		c, err := Dial(s.Addr().String())
 		if err != nil {
@@ -386,13 +378,31 @@ func TestLaneOpeningMultiWorker(t *testing.T) {
 				t.Fatalf("send %d: %v %+v", i, err, resp)
 			}
 		}
-		st := s.Stats()
-		if st.FramesIn != n || st.FramesOut != n || st.FramesInline != n || st.ConnsSolo != 1 {
-			t.Fatalf("frames in/out/inline = %d/%d/%d, conns_solo %d; want %d each and 1 solo connection",
-				st.FramesIn, st.FramesOut, st.FramesInline, st.ConnsSolo, n)
+		if st := s.Stats(); st.FramesIn != n || st.FramesLone != n || st.FramesOut != n || st.FramesInline != n {
+			t.Fatalf("frames in/lone/out/inline = %d/%d/%d/%d, want %d each", st.FramesIn, st.FramesLone, st.FramesOut, st.FramesInline, n)
 		}
 	})
-	t.Run("shared opening", func(t *testing.T) {
+	t.Run("Send", func(t *testing.T) {
+		s, _ := startServer(t, cfg, Options{})
+		c, err := Dial(s.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := int32(0); i < n; i++ {
+			if _, err := c.Send(serve.Request{Receiver: word.FromInt(i), Selector: "answer"}); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.Recv()
+			if err != nil || !resp.OK() || resp.Value.Int() != i+1 {
+				t.Fatalf("send %d: %v %+v", i, err, resp)
+			}
+		}
+		if st := s.Stats(); st.FramesIn != n || st.FramesLone != 0 || st.FramesOut != n || st.FramesInline != 0 {
+			t.Fatalf("frames in/lone/out/inline = %d/%d/%d/%d, want %d/0/%d/0", st.FramesIn, st.FramesLone, st.FramesOut, st.FramesInline, n, n)
+		}
+	})
+	t.Run("raw", func(t *testing.T) {
 		s, _ := startServer(t, cfg, Options{})
 		r := dialRaw(t, s.Addr().String())
 		for i := int32(0); i < n; i++ {
@@ -400,20 +410,81 @@ func TestLaneOpeningMultiWorker(t *testing.T) {
 			r.flush()
 			r.expect()
 		}
-		st := s.Stats()
-		if st.FramesIn != n || st.FramesOut != n || st.FramesInline != 0 || st.ConnsSolo != 0 {
-			t.Fatalf("frames in/out/inline = %d/%d/%d, conns_solo %d; want %d/%d/0 and no solo connection",
-				st.FramesIn, st.FramesOut, st.FramesInline, st.ConnsSolo, n, n)
+		if st := s.Stats(); st.FramesIn != n || st.FramesLone != 0 || st.FramesOut != n || st.FramesInline != 0 {
+			t.Fatalf("frames in/lone/out/inline = %d/%d/%d/%d, want %d/0/%d/0", st.FramesIn, st.FramesLone, st.FramesOut, st.FramesInline, n, n)
 		}
 	})
 }
 
-// TestLaneSoloWindowMultiWorker runs a pipelining solo Client against a
+// TestLaneWindowOverlapMultiWorker pins that a pipelining Client keeps
+// its parallelism on a 2-worker pool. It keeps a window of two
+// stall-held sends, keyed to alternate shards, refilled one frame per
+// Recv, so each new frame lands while the one before it still runs. Had
+// the reader run such a frame itself once the frame before it was
+// answered, the next would have waited it out, and so on: the whole
+// connection would have gone serial, taking at least n stalls. Every
+// frame must stay pipelined, the first two must run at once, and the
+// n sends must take less than n stalls.
+func TestLaneWindowOverlapMultiWorker(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	s, pool := startServer(t, serve.Config{Workers: 2, Timeout: 30 * time.Second,
+		Faults: &serve.Faults{StallEvery: 1, Stall: stall}}, Options{})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 8
+	send := func(i int32) {
+		t.Helper()
+		// Even sends take key 1 (shard 1), odd ones key 2 (shard 0).
+		if _, err := c.Send(serve.Request{Receiver: word.FromInt(i), Selector: "answer", Key: uint64(1 + i%2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func(i int32) {
+		t.Helper()
+		if resp, err := c.Recv(); err != nil || !resp.OK() || resp.Value.Int() != i+1 {
+			t.Fatalf("answer %d: %v %+v", i, err, resp)
+		}
+	}
+	start := time.Now()
+	send(0)
+	waitFor(t, "send 0 to execute", func() bool { return pool.QueueDepths()[1] == 1 })
+	send(1)
+	overlapped := false
+	waitFor(t, "send 1 to execute", func() bool {
+		d := pool.QueueDepths()
+		overlapped = d[1] == 1
+		return d[0] == 1
+	})
+	if !overlapped {
+		t.Fatal("send 1 reached its shard only after send 0 ended")
+	}
+	for i := int32(2); i < n; i++ {
+		recv(i - 2)
+		send(i)
+	}
+	recv(n - 2)
+	recv(n - 1)
+	if took := time.Since(start); took >= n*stall {
+		t.Fatalf("%d sends took %v, at least %d stalls of %v: the window ran one send at a time", n, took, n, stall)
+	}
+	if st := s.Stats(); st.FramesIn != n || st.FramesOut != n || st.FramesLone != 0 || st.FramesInline != 0 {
+		t.Fatalf("frames in/out/lone/inline = %d/%d/%d/%d, want %d/%d/0/0", st.FramesIn, st.FramesOut, st.FramesLone, st.FramesInline, n, n)
+	}
+}
+
+// TestLaneClientWindowMultiWorker runs a pipelining Client against a
 // 2-worker pool, where its frames land on both shards: 64-deep windows
-// kept full, each followed by depth-1 round trips. Recv checks every
+// kept full, each followed by depth-1 Do round trips. Recv checks every
 // answer's frame id against send order, so an inline answer overtaking
-// a pipelined one fails here; both lanes must have carried traffic.
-func TestLaneSoloWindowMultiWorker(t *testing.T) {
+// a pipelined one fails here. Only the Do frames are lone, and only
+// they may have run inline.
+func TestLaneClientWindowMultiWorker(t *testing.T) {
 	s, _ := startServer(t, serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}, Options{})
 	c, err := Dial(s.Addr().String())
 	if err != nil {
@@ -421,7 +492,7 @@ func TestLaneSoloWindowMultiWorker(t *testing.T) {
 	}
 	defer c.Close()
 	const depth = 64
-	var sent, answered int32
+	var sent, answered, dos int32
 	recv := func() {
 		t.Helper()
 		resp, err := c.Recv()
@@ -444,27 +515,29 @@ func TestLaneSoloWindowMultiWorker(t *testing.T) {
 			recv()
 		}
 		for i := 0; i < 8; i++ {
-			if _, err := c.Send(serve.Request{Receiver: word.FromInt(sent), Selector: "answer"}); err != nil {
-				t.Fatal(err)
+			resp, err := c.Do(serve.Request{Receiver: word.FromInt(sent), Selector: "answer"})
+			if err != nil || !resp.OK() || resp.Value.Int() != sent+1 {
+				t.Fatalf("Do %d: %v %+v", sent, err, resp)
 			}
 			sent++
-			recv()
+			answered++
+			dos++
 		}
 	}
 	st := s.Stats()
-	if st.FramesIn != uint64(sent) || st.FramesOut != uint64(sent) || st.ConnsSolo != 1 {
-		t.Fatalf("frames in/out = %d/%d, conns_solo %d; want %d and 1", st.FramesIn, st.FramesOut, st.ConnsSolo, sent)
+	if st.FramesIn != uint64(sent) || st.FramesOut != uint64(sent) || st.FramesLone != uint64(dos) {
+		t.Fatalf("frames in/out/lone = %d/%d/%d, want %d/%d/%d", st.FramesIn, st.FramesOut, st.FramesLone, sent, sent, dos)
 	}
-	if st.FramesInline == 0 || st.FramesInline >= st.FramesIn {
-		t.Fatalf("frames_inline = %d of %d: both lanes must have carried traffic", st.FramesInline, st.FramesIn)
+	if st.FramesInline == 0 || st.FramesInline > st.FramesLone {
+		t.Fatalf("frames_inline = %d of %d lone frames: Do must have run inline, and nothing else", st.FramesInline, st.FramesLone)
 	}
 }
 
-// TestLaneUnknownOpening proves an opening that is neither Magic nor
-// MagicSolo poisons only its own connection. A solo Client and a shared
-// MuxClient stay open on a 2-worker pool across every bad opening — the
-// near misses of both magics among them — and keep being answered, as
-// does a raw connection that opens solo.
+// TestLaneUnknownOpening proves a bad opening, or a frame of unknown
+// type behind a good one, poisons only its own connection. A Client and
+// a MuxClient stay open on a 2-worker pool across every bad input — the
+// near misses of the magic and the frame types among them — and keep
+// being answered, as does a fresh raw connection.
 func TestLaneUnknownOpening(t *testing.T) {
 	s, _ := startServer(t, serve.Config{Workers: 2, GCEvery: -1, Timeout: 30 * time.Second}, Options{})
 	c, err := Dial(s.Addr().String())
@@ -481,42 +554,49 @@ func TestLaneUnknownOpening(t *testing.T) {
 		t.Helper()
 		req := serve.Request{Receiver: word.FromInt(7), Selector: "answer"}
 		if resp, err := c.Do(req); err != nil || resp.Value.Int() != 8 {
-			t.Fatalf("%s: solo client: %v %+v", when, err, resp)
+			t.Fatalf("%s: client: %v %+v", when, err, resp)
 		}
 		if resp, err := m.Do(req); err != nil || resp.Value.Int() != 8 {
 			t.Fatalf("%s: mux client: %v %+v", when, err, resp)
 		}
-		r := dialRawOpening(t, s.Addr().String(), MagicSolo)
+		r := dialRaw(t, s.Addr().String())
 		r.send(9)
 		r.flush()
 		r.expect()
 	}
 	check("before")
-	bad := []string{"OBS0", "OBS2", "OBW2", "obs1", "OBW\x00", "GET "}
-	for i, opening := range bad {
+	send := func(opening string, typ byte) []byte {
+		return appendRequest([]byte(opening), typ, 0, serve.Request{Receiver: word.FromInt(1), Selector: "answer"})
+	}
+	bad := [][]byte{
+		send("OBW0", frameSend), send("OBW2", frameSendLone), send("OBS1", frameSendLone), send("obw1", frameSend),
+		send("OBW\x00", frameSend), send("GET ", frameSend),
+		send(Magic, 0x00), send(Magic, frameResult), send(Magic, 0x06), send(Magic, frameSendLone|0x80),
+	}
+	for i, input := range bad {
 		raw, err := net.Dial("tcp", s.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := raw.Write(appendRequest([]byte(opening), 0, serve.Request{Receiver: word.FromInt(1), Selector: "answer"})); err != nil {
+		if _, err := raw.Write(input); err != nil {
 			t.Fatal(err)
 		}
 		// The server must hang up without answering the frame.
 		raw.SetReadDeadline(time.Now().Add(10 * time.Second))
 		n, err := io.Copy(io.Discard, raw)
 		if ne, ok := err.(net.Error); n != 0 || ok && ne.Timeout() {
-			t.Fatalf("opening %q: read %d bytes, %v; want a hang-up with no answer", opening, n, err)
+			t.Fatalf("input %q: read %d bytes, %v; want a hang-up with no answer", input[:9], n, err)
 		}
 		raw.Close()
-		waitFor(t, fmt.Sprintf("opening %q to count", opening), func() bool { return s.Stats().ProtoErrors == uint64(i+1) })
-		check(fmt.Sprintf("after opening %q", opening))
+		waitFor(t, fmt.Sprintf("input %q to count", input[:9]), func() bool { return s.Stats().ProtoErrors == uint64(i+1) })
+		check(fmt.Sprintf("after input %q", input[:9]))
 	}
-	// Each check sends one frame over the Client, one over the MuxClient
-	// and one over a fresh raw solo connection.
+	// Each check sends one lone frame over the Client, and one plain
+	// frame each over the MuxClient and a fresh raw connection.
 	st := s.Stats()
 	checks := uint64(1 + len(bad))
-	if st.FramesIn != 3*checks || st.ConnsSolo != 1+checks || st.ProtoErrors != uint64(len(bad)) {
-		t.Fatalf("frames_in %d, conns_solo %d, proto_errors %d; want %d, %d, %d",
-			st.FramesIn, st.ConnsSolo, st.ProtoErrors, 3*checks, 1+checks, len(bad))
+	if st.FramesIn != 3*checks || st.FramesLone != checks || st.ProtoErrors != uint64(len(bad)) {
+		t.Fatalf("frames_in %d, frames_lone %d, proto_errors %d; want %d, %d, %d",
+			st.FramesIn, st.FramesLone, st.ProtoErrors, 3*checks, checks, len(bad))
 	}
 }

@@ -55,9 +55,9 @@ type muxWaiter struct {
 // serialise briefly to append their frame and enqueue a waiter; the
 // reader goroutine pairs responses with waiters in order. Depth is
 // whatever the callers' concurrency makes it — the cluster router's
-// natural pipelining. It opens with Magic, not MagicSolo: its callers'
-// frames must each be read as soon as they land, so a send on one shard
-// never waits out another caller's send on the same connection.
+// natural pipelining. Its frames are never lone, even at depth 1:
+// another caller's frame may be right behind any of them, and must be
+// read as soon as it lands rather than wait out this one's send.
 type MuxClient struct {
 	c  net.Conn
 	bw *bufio.Writer
@@ -156,7 +156,7 @@ func (m *MuxClient) enqueue(ping bool, req serve.Request) (chan muxReply, error)
 	if ping {
 		m.wbuf = appendPing(m.wbuf[:0], id)
 	} else {
-		m.wbuf = appendRequest(m.wbuf[:0], id, req)
+		m.wbuf = appendRequest(m.wbuf[:0], frameSend, id, req)
 	}
 	_, err := m.bw.Write(m.wbuf)
 	if err == nil {

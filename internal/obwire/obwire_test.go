@@ -67,15 +67,18 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		MaxSteps: 1 << 20,
 		Timeout:  1500 * time.Millisecond,
 	}
-	b := appendRequest(nil, 99, in)
+	b := appendRequest(nil, frameSend, 99, in)
 	s := &Server{}
 	sels := map[string]string{}
-	id, out, err := s.decodeRequest(b[4:], sels) // past the length prefix
+	id, out, lone, err := s.decodeRequest(b[4:], sels) // past the length prefix
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if id != 99 {
-		t.Fatalf("id = %d, want 99", id)
+	if id != 99 || lone {
+		t.Fatalf("id = %d, lone %v; want 99, plain", id, lone)
+	}
+	if _, _, lone, err := s.decodeRequest(appendRequest(nil, frameSendLone, 99, in)[4:], sels); err != nil || !lone {
+		t.Fatalf("lone frame: lone %v, %v", lone, err)
 	}
 	if out.Receiver != in.Receiver || out.Selector != in.Selector || out.Key != in.Key ||
 		out.MaxSteps != in.MaxSteps || out.Timeout != in.Timeout || len(out.Args) != len(in.Args) {
@@ -87,7 +90,7 @@ func TestRequestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	// The selector was interned: decoding again reuses the map entry.
-	_, out2, err := s.decodeRequest(b[4:], sels)
+	_, out2, _, err := s.decodeRequest(b[4:], sels)
 	if err != nil {
 		t.Fatal(err)
 	}

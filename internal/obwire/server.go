@@ -57,8 +57,8 @@ const DefaultDrainGrace = 200 * time.Millisecond
 type Stats struct {
 	ConnsAccepted uint64 `json:"conns_accepted"`
 	ConnsActive   uint64 `json:"conns_active"`
-	ConnsSolo     uint64 `json:"conns_solo"`
 	FramesIn      uint64 `json:"frames_in"`
+	FramesLone    uint64 `json:"frames_lone"`
 	FramesOut     uint64 `json:"frames_out"`
 	FramesInline  uint64 `json:"frames_inline"`
 	Pings         uint64 `json:"pings"`
@@ -69,9 +69,9 @@ type Stats struct {
 // serve.Pool. Every connection runs one reader goroutine and one writer
 // goroutine, and a send frame takes one of two lanes:
 //
-//   - Inline: when the lane is open on the connection and the frame is
-//     the only work on it — nothing more buffered behind it, no answer
-//     outstanding — the reader runs it on the idle shard
+//   - Inline: when the lane is open to the frame and the frame is the
+//     only work on its connection — nothing more buffered behind it, no
+//     answer outstanding — the reader runs it on the idle shard
 //     (serve.Pool.Start) and encodes, writes and flushes the answer
 //     itself. A depth-1 send costs one server goroutine instead of three.
 //   - Pipelined: every other frame, and a lone frame whose shard is busy,
@@ -80,13 +80,13 @@ type Stats struct {
 //
 // An inline send holds its connection's reader, so a frame that arrives
 // behind it is read only once it ends. The lane is open where that costs
-// nothing: on a one-worker pool, where the frame could not have run
-// before the shard freed up anyway, and on a connection opened with
-// MagicSolo, where the frame is the same caller's and the most it waits
-// is one of that caller's sends. A connection opened with Magic to a
-// multi-worker pool keeps every frame pipelined: its callers may share
-// it, and one caller's frame could have started at once on another shard
-// instead of waiting out another caller's send.
+// nothing: to every frame on a one-worker pool, where the frame behind
+// could not have run before the shard freed up anyway, and to a lone
+// frame (frameSendLone) on any pool, whose caller sends nothing behind
+// it until it is answered. A plain frame to a multi-worker pool stays
+// pipelined: a pipelining caller's next frame, or another caller's on a
+// shared connection, may be right behind it and could have started at
+// once on another shard.
 //
 // Either way responses go out in request order: the reader may touch the
 // connection's write buffer only while the writer has nothing
@@ -96,7 +96,7 @@ type Server struct {
 	pool   *serve.Pool
 	ln     net.Listener
 	opts   Options
-	inline bool // the inline lane is open on every connection: the pool has one worker
+	inline bool // the inline lane is open to every frame: the pool has one worker
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -106,8 +106,8 @@ type Server struct {
 
 	connsAccepted atomic.Uint64
 	connsActive   atomic.Int64
-	connsSolo     atomic.Uint64
 	framesIn      atomic.Uint64
+	framesLone    atomic.Uint64
 	framesOut     atomic.Uint64
 	framesInline  atomic.Uint64
 	pings         atomic.Uint64
@@ -137,13 +137,13 @@ func Serve(l net.Listener, pool *serve.Pool, opts Options) *Server {
 func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 
 // Stats snapshots the transport counters. FramesIn counts send frames
-// decoded and dispatched; FramesOut counts answers placed in a write
-// buffer (each before the flush that sends it, so a client holding its
-// answer always sees it counted); FramesInline counts the answers the
-// reader produced on the inline lane; ConnsSolo counts the connections
-// that opened with MagicSolo, the ones the inline lane is open to on a
-// multi-worker pool. The loads run against the order the counters tick,
-// so a snapshot always has FramesInline <= FramesOut <= FramesIn.
+// decoded and dispatched, FramesLone the lone ones among them, the only
+// ones the inline lane is open to on a multi-worker pool; FramesOut
+// counts answers placed in a write buffer (each before the flush that
+// sends it, so a client holding its answer always sees it counted);
+// FramesInline counts the answers the reader produced on the inline
+// lane. The loads run against the order the counters tick, so a
+// snapshot always has FramesInline <= FramesOut <= FramesIn.
 func (s *Server) Stats() Stats {
 	active := s.connsActive.Load()
 	if active < 0 {
@@ -154,8 +154,8 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		ConnsAccepted: s.connsAccepted.Load(),
 		ConnsActive:   uint64(active),
-		ConnsSolo:     s.connsSolo.Load(),
 		FramesIn:      s.framesIn.Load(),
+		FramesLone:    s.framesLone.Load(),
 		FramesOut:     out,
 		FramesInline:  inline,
 		Pings:         s.pings.Load(),
@@ -292,11 +292,11 @@ func (s *Server) respond(w *connWriter, id uint64, res serve.Result, inline, flu
 }
 
 // serveConn is the per-connection reader half of the read→dispatch→write
-// loop: validate the magic (a solo one opens the inline lane), then read
-// frames, decode them, and either answer a lone send frame inline or
-// hand the pool futures to the writer in order. Any protocol error stops the reading — poisoning exactly this
-// connection — while the writer drains and answers everything already
-// dispatched.
+// loop: validate the magic, then read frames, decode them, and either
+// answer a send frame that is the only work on the connection inline or
+// hand the pool futures to the writer in order. Any protocol error stops
+// the reading — poisoning exactly this connection — while the writer
+// drains and answers everything already dispatched.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -320,9 +320,7 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, 1<<16)
 	var hdr [4]byte
-	_, err := io.ReadFull(br, hdr[:])
-	solo := err == nil && string(hdr[:]) == MagicSolo
-	if err != nil || (!solo && string(hdr[:]) != Magic) {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:]) != Magic {
 		if err == nil {
 			s.protoErrors.Add(1)
 			s.logf("obwire: %s: bad magic %q", c.RemoteAddr(), hdr[:])
@@ -331,10 +329,6 @@ func (s *Server) serveConn(c net.Conn) {
 		<-writerDone
 		return
 	}
-	if solo {
-		s.connsSolo.Add(1)
-	}
-	inline := s.inline || solo
 
 	// Per-connection reusable state: the frame buffer grows to the
 	// largest frame seen and stays; selectors are interned so repeat
@@ -378,7 +372,7 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 
 		t0 := time.Now()
-		id, req, err := s.decodeRequest(buf, sels)
+		id, req, lone, err := s.decodeRequest(buf, sels)
 		if s.opts.DecodeLat != nil {
 			s.opts.DecodeLat.Observe(time.Since(t0))
 		}
@@ -388,13 +382,16 @@ func (s *Server) serveConn(c net.Conn) {
 			break
 		}
 		s.framesIn.Add(1)
+		if lone {
+			s.framesLone.Add(1)
+		}
 
 		// Submission never waits on a queue: a full queue or in-flight
 		// ceiling completes the future immediately with ErrOverloaded,
 		// which the writer answers as StatusOverloaded — the same
 		// admission story as HTTP, over a cheaper wire.
 		var fut *serve.Future
-		if inline && w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
+		if (s.inline || lone) && w.outstanding.Load() == 0 && br.Buffered() == 0 && !s.closed.Load() {
 			// Inline lane: the frame is the only work on the connection.
 			// Start runs it only on an idle shard and otherwise queues
 			// it, so the reader is never parked behind work it could
@@ -421,14 +418,15 @@ func (s *Server) serveConn(c net.Conn) {
 	<-writerDone
 }
 
-// decodeRequest decodes one send frame. The selector is interned in
-// sels — stable across the connection, so steady-state traffic never
-// allocates for it; args, when present, cost one slice (they outlive
-// the frame buffer in the pool's queue).
-func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.Request, error) {
+// decodeRequest decodes one send frame and reports whether it is lone.
+// The selector is interned in sels — stable across the connection, so
+// steady-state traffic never allocates for it; args, when present, cost
+// one slice (they outlive the frame buffer in the pool's queue).
+func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.Request, bool, error) {
 	d := dec{b: b}
-	if t := d.u8(); t != frameSend && !d.bad {
-		return 0, serve.Request{}, fmt.Errorf("obwire: unknown frame type 0x%02x", t)
+	t := d.u8()
+	if t != frameSend && t != frameSendLone && !d.bad {
+		return 0, serve.Request{}, false, fmt.Errorf("obwire: unknown frame type 0x%02x", t)
 	}
 	id := d.u64()
 	req := serve.Request{
@@ -447,10 +445,10 @@ func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.
 		req.Args = args
 	}
 	if err := d.done(); err != nil {
-		return 0, serve.Request{}, err
+		return 0, serve.Request{}, false, err
 	}
 	if len(selRaw) == 0 {
-		return 0, serve.Request{}, errEmptySelector
+		return 0, serve.Request{}, false, errEmptySelector
 	}
 	sel, ok := sels[string(selRaw)]
 	if !ok {
@@ -460,7 +458,7 @@ func (s *Server) decodeRequest(b []byte, sels map[string]string) (uint64, serve.
 		}
 	}
 	req.Selector = sel
-	return id, req, nil
+	return id, req, t == frameSendLone, nil
 }
 
 // writeLoop is the writer half: await each dispatched future in order,

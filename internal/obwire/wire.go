@@ -13,26 +13,14 @@
 //
 // # Framing
 //
-// A connection opens with a 4-byte magic from the client, one of two:
-//
-//   - "OBW1" (Magic): any number of callers may share the connection,
-//     as MuxClient's do. Every frame is read as soon as it lands, so a
-//     frame from one caller never waits behind another caller's send.
-//   - "OBS1" (MagicSolo): one caller drives the connection, as Client's
-//     one goroutine does. Whatever arrives behind a send is that same
-//     caller's, so the server may run a frame that is the only work on
-//     the connection on the connection's reader (the inline lane; see
-//     Server): the most it holds back is one send of the caller's own.
-//
-// The server cannot tell the two shapes apart from traffic, so the
-// client says which it is. Anything else poisons the connection. Every
-// frame after the magic is a little-endian u32 payload length followed
-// by the payload. Values use the fastwire image encoding: a machine word
-// is its tag byte plus 4 payload bytes.
+// A connection opens with the 4-byte magic "OBW1" from the client. Every
+// frame after that is a little-endian u32 payload length followed by the
+// payload. Values use the fastwire image encoding: a machine word is its
+// tag byte plus 4 payload bytes.
 //
 // Request payload (client → server):
 //
-//	u8  type (frameSend)
+//	u8  type (frameSend, or frameSendLone)
 //	u64 frame id (echoed in the response)
 //	u8+u32 receiver word
 //	u64 routing key
@@ -40,6 +28,18 @@
 //	u64 timeout in ns (0: pool default)
 //	u16 selector length + bytes
 //	u16 arg count + one u8+u32 word each
+//
+// A lone send (frameSendLone) carries a promise from its caller: nothing
+// more is sent on the connection until this frame is answered, as
+// Client.Do's round trip does. The server may then run the frame on the
+// connection's reader (the inline lane; see Server), since no frame can
+// be waiting behind it. The promise is per frame, not per connection:
+// the server cannot tell from traffic whether a frame has company
+// coming, and a pipelining caller or a connection shared by many
+// callers (MuxClient) sends plain frameSend frames, each read as soon as
+// it lands. A server that predates frameSendLone rejects it as an
+// unknown frame type and poisons the connection, so Client.Do needs a
+// server that knows it; Client.Send and MuxClient work with either.
 //
 // Response payload (server → client), in request order per connection:
 //
@@ -74,16 +74,10 @@ import (
 	"repro/internal/word"
 )
 
-// Magic opens a connection that any number of callers may share,
-// client first. A listener that reads neither it nor MagicSolo closes
-// immediately — a cheap guard against stray HTTP clients and port
-// scanners wedging a frame parser.
+// Magic opens every connection, client first. A listener that reads
+// anything else closes immediately — a cheap guard against stray HTTP
+// clients and port scanners wedging a frame parser.
 const Magic = "OBW1"
-
-// MagicSolo opens a connection that one caller drives, and promises
-// that no other caller will share it. Frames and answers are the same as
-// under Magic; only the server's choice of lane differs.
-const MagicSolo = "OBS1"
 
 // Frame types.
 const (
@@ -98,6 +92,9 @@ const (
 	// out.
 	framePing = 0x03
 	framePong = 0x04
+	// frameSendLone is frameSend with its caller's promise that nothing
+	// more follows on the connection until it is answered (see Framing).
+	frameSendLone = 0x05
 )
 
 // Frame-level statuses, mirroring the HTTP map (see statusFor in
@@ -168,11 +165,12 @@ func appendWord(b []byte, w word.Word) []byte {
 	return appendU32(b, w.Bits)
 }
 
-// appendRequest encodes one send frame — length prefix included — onto b.
-func appendRequest(b []byte, id uint64, req serve.Request) []byte {
+// appendRequest encodes one send frame of type typ (frameSend or
+// frameSendLone) — length prefix included — onto b.
+func appendRequest(b []byte, typ byte, id uint64, req serve.Request) []byte {
 	start := len(b)
 	b = appendU32(b, 0) // length, patched below
-	b = append(b, frameSend)
+	b = append(b, typ)
 	b = appendU64(b, id)
 	b = appendWord(b, req.Receiver)
 	b = appendU64(b, req.Key)
